@@ -26,11 +26,30 @@ cd "$(dirname "$0")"
 # function `stage_foo_bar`.
 STAGES=(lint build test determinism reports golden explore corpus bench-smoke serve)
 
+# Fails when the fixed string $1 appears in crates/*/src outside the file
+# $2, printing each offending file and line.
+one_home() {
+  local hits
+  hits="$(grep -rnF --include='*.rs' -e "$1" crates/*/src | grep -v "^$2:" || true)"
+  if [ -n "$hits" ]; then
+    echo "'$1' belongs only in $2; found elsewhere:" >&2
+    echo "$hits" >&2
+    return 1
+  fi
+}
+
 stage_lint() {
   echo "==> fmt (check only)"
   cargo fmt --all --check
   echo "==> clippy (deny warnings)"
   cargo clippy --workspace --all-targets -- -D warnings
+  echo "==> one home each for the executor, the hash and the generators"
+  local ok=1
+  one_home 'thread::scope(' crates/csi-test/src/shard.rs || ok=0
+  one_home '0xcbf2_9ce4_8422_2325' crates/csi-core/src/hash.rs || ok=0
+  one_home '<< 13' crates/csi-core/src/rng.rs || ok=0
+  one_home '0xBF58_476D_1CE4_E5B9' crates/csi-core/src/rng.rs || ok=0
+  [ "$ok" = 1 ]
 }
 
 stage_build() {

@@ -1,6 +1,6 @@
 //! Campaign perf summary: runs the full 422-input cross-testing campaign
-//! once on the legacy serial executor and once on the parallel sharded
-//! executor in its campaign mode (deployment pooling + table recycling),
+//! once serially and once sharded in its campaign mode (per-worker
+//! deployments + table recycling),
 //! checks the two reports agree byte-for-byte, and prints a JSON
 //! performance summary (wall times, observations/sec, speedup, per-worker
 //! utilization).
@@ -56,8 +56,8 @@ fn main() {
 
     let inputs = generate_inputs();
 
-    // Baseline: the serial executor exactly as it always ran (tables
-    // accumulate in the deployment for the experiment's lifetime).
+    // Baseline: the default one-worker campaign (tables accumulate in the
+    // deployment for the experiment's lifetime).
     let serial_started = Instant::now();
     let serial = Campaign::new(&inputs).run();
     let serial_micros = serial_started.elapsed().as_micros() as u64;

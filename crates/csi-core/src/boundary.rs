@@ -25,6 +25,7 @@ use crate::fault::{
     Channel, FaultKind, FaultPlan, FaultPoint, FaultSpec, InjectedFault, InjectionRegistry,
     Interception,
 };
+use crate::hash::Fnv;
 use crate::plane::{InteractionKind, Plane, SystemId};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -112,7 +113,7 @@ impl BoundaryCall {
 /// generated names (`part-00017.csv`) never make two equivalent payloads
 /// digest differently across deployment pooling or recycling.
 fn digest_payload(payload: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = Fnv::new();
     let mut in_digits = false;
     for byte in payload.bytes() {
         let masked = if byte.is_ascii_digit() {
@@ -125,10 +126,9 @@ fn digest_payload(payload: &str) -> u64 {
             in_digits = false;
             byte
         };
-        hash ^= u64::from(masked);
-        hash = hash.wrapping_mul(0x0100_0000_01b3);
+        hash.byte(masked);
     }
-    hash
+    hash.finish()
 }
 
 /// What happened at one crossing.

@@ -20,6 +20,7 @@
 //! only flat columns — everything the bulk generator emits — get the fast
 //! paths.
 
+use crate::hash::Fnv;
 use crate::value::{canon_f32, canon_f64, DataType, Decimal, Value};
 use serde::{Deserialize, Serialize};
 
@@ -511,7 +512,7 @@ impl ValueColumn {
         }
         match &self.values {
             ColumnValues::Boolean(v) => {
-                h.write(b"bool");
+                h.words(b"bool");
                 for (i, x) in v.iter().enumerate() {
                     h.word(u64::from(self.validity.get(i) && *x));
                 }
@@ -521,7 +522,7 @@ impl ValueColumn {
             ColumnValues::Int(v) => hash_ints(&mut h, b"i32", v, &self.validity, |x| *x as i64),
             ColumnValues::Long(v) => hash_ints(&mut h, b"i64", v, &self.validity, |x| *x),
             ColumnValues::Float(v) => {
-                h.write(b"f32");
+                h.words(b"f32");
                 for (i, x) in v.iter().enumerate() {
                     let bits = if self.validity.get(i) {
                         canon_f32(*x)
@@ -532,7 +533,7 @@ impl ValueColumn {
                 }
             }
             ColumnValues::Double(v) => {
-                h.write(b"f64");
+                h.words(b"f64");
                 for (i, x) in v.iter().enumerate() {
                     let bits = if self.validity.get(i) {
                         canon_f64(*x)
@@ -545,7 +546,7 @@ impl ValueColumn {
             ColumnValues::Decimal {
                 unscaled, scale, ..
             } => {
-                h.write(b"dec");
+                h.words(b"dec");
                 for i in 0..unscaled.len() {
                     if !self.validity.get(i) {
                         h.word(u64::MAX);
@@ -568,7 +569,7 @@ impl ValueColumn {
             ColumnValues::Date(v) => hash_ints(&mut h, b"date", v, &self.validity, |x| *x as i64),
             ColumnValues::Timestamp(v) => hash_ints(&mut h, b"ts", v, &self.validity, |x| *x),
             ColumnValues::Interval { months, micros } => {
-                h.write(b"iv");
+                h.words(b"iv");
                 for i in 0..months.len() {
                     if self.validity.get(i) {
                         h.word(months[i] as u64);
@@ -579,14 +580,14 @@ impl ValueColumn {
                 }
             }
             ColumnValues::Mixed(v) => {
-                h.write(b"mixed");
+                h.words(b"mixed");
                 for (i, x) in v.iter().enumerate() {
                     if self.validity.get(i) {
-                        h.write(x.signature().as_bytes());
+                        h.words(x.signature().as_bytes());
                     } else {
-                        h.write(b"null");
+                        h.words(b"null");
                     }
-                    h.write(b";");
+                    h.words(b";");
                 }
             }
         }
@@ -595,7 +596,7 @@ impl ValueColumn {
 }
 
 fn hash_ints<T, F: Fn(&T) -> i64>(h: &mut Fnv, tag: &[u8], v: &[T], validity: &Validity, f: F) {
-    h.write(tag);
+    h.words(tag);
     for (i, x) in v.iter().enumerate() {
         let n = if validity.get(i) { f(x) } else { 0 };
         h.word(n as u64);
@@ -603,46 +604,11 @@ fn hash_ints<T, F: Fn(&T) -> i64>(h: &mut Fnv, tag: &[u8], v: &[T], validity: &V
 }
 
 fn hash_var(h: &mut Fnv, tag: &[u8], offsets: &[usize], bytes: &[u8]) {
-    h.write(tag);
+    h.words(tag);
     for w in offsets {
         h.word(*w as u64);
     }
-    h.write(bytes);
-}
-
-/// FNV-1a style folding hasher for column fingerprints, consuming input
-/// eight bytes per multiply so digesting a million-row lane costs one
-/// round per word, not one per byte. Stability matters only within a
-/// report: canonically equal columns make identical call sequences here,
-/// so they digest equally.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        self.0 ^= w;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.word(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rem.len()].copy_from_slice(rem);
-            self.word(u64::from_le_bytes(tail));
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
+    h.words(bytes);
 }
 
 #[cfg(test)]

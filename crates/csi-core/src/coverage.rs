@@ -17,6 +17,7 @@
 
 use crate::boundary::{CrossingOutcome, InteractionTrace};
 use crate::fault::FaultKind;
+use crate::hash::{fnv1a, Fnv};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -83,12 +84,7 @@ impl CoverageSignature {
 
     /// FNV-1a 64-bit fingerprint of the canonical rendering.
     pub fn fingerprint(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in self.canonical().bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0100_0000_01b3);
-        }
-        hash
+        fnv1a(self.canonical().as_bytes())
     }
 }
 
@@ -101,17 +97,13 @@ impl CoverageSignature {
 /// first fault, so `A then B` and `B then A` must land in different
 /// clusters.
 pub fn prefix_fingerprint(prefix: &[String]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = Fnv::new();
     for step in prefix {
-        for byte in step.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0100_0000_01b3);
-        }
+        hash.bytes(step.as_bytes());
         // Step separator, so ["ab","c"] and ["a","bc"] differ.
-        hash ^= u64::from(b'\n');
-        hash = hash.wrapping_mul(0x0100_0000_01b3);
+        hash.byte(b'\n');
     }
-    hash
+    hash.finish()
 }
 
 /// The set of coverage signatures a campaign has seen, with the execution

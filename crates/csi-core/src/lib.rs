@@ -28,7 +28,9 @@
 //! - **machine-checkable data contracts** ([`spec`]) with breaking-change
 //!   diffing, and a **configuration audit** ([`audit`]) over the
 //!   provenance-tracked config plane — the Section 10 directions
-//!   implemented as reusable tools.
+//!   implemented as reusable tools;
+//! - the one **hash** ([`hash`], FNV-1a) and the two seeded **generators**
+//!   ([`rng`]) every digest and deterministic draw in the workspace uses.
 //!
 //! The simulated systems (`minispark`, `minihive`, `minihdfs`, `miniyarn`,
 //! `minikafka`, `miniflink`) build on these primitives; the `csi-test` crate
@@ -44,10 +46,12 @@ pub mod detect;
 pub mod diag;
 pub mod error;
 pub mod fault;
+pub mod hash;
 pub mod intern;
 pub mod oracle;
 pub mod plane;
 pub mod report;
+pub mod rng;
 pub mod sim;
 pub mod spec;
 pub mod sql;

@@ -27,4 +27,4 @@ pub use client::{run_specs, ServeClient, TenantOutcome};
 pub use protocol::{valid_tenant_name, CampaignRequest, Frame, RejectReason, MAX_TENANT_LEN};
 pub use sched::{Admission, FairScheduler};
 pub use server::{CsiServer, ServeConfig};
-pub use tenant::{fnv1a, TenantRegistry};
+pub use tenant::TenantRegistry;

@@ -20,19 +20,10 @@
 //! metastore and filesystem. The registry is strictly the durable
 //! per-tenant record of what was asked and what was answered.
 
+use csi_core::hash::fnv1a;
 use minihdfs::{HdfsPath, MiniHdfs};
 use minihive::metastore::Metastore;
 use parking_lot::Mutex;
-
-/// FNV-1a 64-bit, the digest used for report fingerprints.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// The shared control-plane substrate, partitioned per tenant.
 pub struct TenantRegistry {

@@ -22,6 +22,7 @@ use crate::exec::{CrossTestConfig, Deployment};
 use crate::generator::{bulk_schema, generate_bulk_columns};
 use crate::plan::Interface;
 use csi_core::column::ValueColumn;
+use csi_core::hash::Fnv;
 use csi_core::oracle::{check_write_read_columns, OracleFailure};
 use csi_core::InteractionError;
 use minihive::metastore::StorageFormat;
@@ -198,14 +199,11 @@ fn bulk_read(
 /// Combined digest over a table's columns: FNV-1a over the per-column
 /// fingerprints, so two reads agree iff every column fingerprints equally.
 pub fn table_digest(cols: &[ValueColumn]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv::new();
     for c in cols {
-        for b in c.fingerprint().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.bytes(&c.fingerprint().to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 /// Runs a bulk campaign: every bulk plan crossed with every format, each

@@ -1,10 +1,7 @@
-//! The unified campaign API: one builder in front of the serial executor,
-//! the sharded executor, and the fault matrix.
-//!
-//! Historically each campaign style had its own entrypoint
-//! (`run_cross_test`, `run_cross_test_parallel`, `run_fault_matrix`,
-//! `run_fault_matrix_sharded`) and callers wired tracing, fault plans, and
-//! worker pools by hand. [`Campaign`] folds all of that into one builder:
+//! The unified campaign API: one builder in front of every campaign mode
+//! — cross-test, fault matrix, explore, and the compound pass — each run
+//! on the one ordered executor of [`crate::shard`]. Tracing, fault plans,
+//! and worker counts are all builder settings:
 //!
 //! ```
 //! use csi_test::generator::generate_inputs;
@@ -40,14 +37,14 @@
 
 use crate::classify;
 use crate::corpus::CorpusShape;
-use crate::exec::{self, CrossTestConfig, CrossTestOutcome};
+use crate::exec::{self, CrossTestConfig};
 use crate::explore;
 use crate::generator::TestInput;
 use crate::inject::{self, FaultMatrixConfig, FaultMatrixReport};
 use crate::multi::{self, CompoundConfig};
 use crate::plan::Experiment;
 use crate::pool::DeploymentPool;
-use crate::shard::{self, CampaignMetrics, ParallelConfig};
+use crate::shard::{self, CampaignMetrics};
 use crate::shrink::ShrunkReproducer;
 use crate::spec::{CampaignSpec, InputSelection, SpecError};
 use csi_core::detect::{DetectionTap, DetectorConfig, DetectorSpec};
@@ -169,8 +166,7 @@ impl Campaign {
         self
     }
 
-    /// Runs the campaign on `n` workers; `0` or `1` runs serially
-    /// (`0` in matrix mode still means serial). Clamped to
+    /// Runs the campaign on `n` workers; `0` or `1` runs serially. Clamped to
     /// [`MAX_SHARDS`](crate::spec::MAX_SHARDS) — only specs revived from
     /// the wire can carry an out-of-range value.
     pub fn shards(mut self, n: usize) -> Campaign {
@@ -392,11 +388,7 @@ impl Campaign {
             detect: self.spec.detect.then_some(self.spec.detector_config),
             tap: self.tap,
         };
-        let matrix = if self.spec.shards > 1 {
-            inject::run_fault_matrix_sharded_impl(&config, self.spec.shards)
-        } else {
-            inject::run_fault_matrix_impl(&config)
-        };
+        let matrix = inject::run_fault_matrix(&config, self.spec.shards);
         // The campaign-level report carries the matrix's detection
         // aggregates so the unified Render path shows them alongside the
         // fault cells.
@@ -433,16 +425,16 @@ impl Campaign {
         if self.spec.detect {
             // Fault-free calibration replay over the identical scenario
             // space: learn what "normal" looks like per scenario, then
-            // freeze. Runs in the same mode (serial/sharded) as the real
-            // campaign; learning is keyed, so worker interleaving cannot
-            // change the result.
+            // freeze. Runs on the same worker count as the real campaign;
+            // learning is keyed, so worker interleaving cannot change the
+            // result.
             let calibration_config = CrossTestConfig {
                 fault_plan: None,
                 trace_boundaries: true,
                 detector: None,
                 ..config.clone()
             };
-            let (calibration, _) = run_mode(
+            let (calibration, _) = shard::run_cross_test(
                 &inputs,
                 &calibration_config,
                 self.spec.shards,
@@ -455,38 +447,18 @@ impl Campaign {
                 tap: self.tap,
             });
         }
-        let (outcome, metrics) = run_mode(&inputs, &config, self.spec.shards, self.spec.chunk_size);
+        let (outcome, metrics) =
+            shard::run_cross_test(&inputs, &config, self.spec.shards, self.spec.chunk_size);
         CampaignOutcome {
             report: outcome.report,
             observations: outcome.observations,
-            metrics,
+            metrics: (self.spec.shards > 1).then_some(metrics),
             matrix: None,
             exploration: None,
             reproducers: Vec::new(),
             compound: None,
             clusters: Vec::new(),
         }
-    }
-}
-
-fn run_mode(
-    inputs: &[TestInput],
-    config: &CrossTestConfig,
-    shards: usize,
-    chunk_size: usize,
-) -> (CrossTestOutcome, Option<CampaignMetrics>) {
-    if shards > 1 {
-        let out = shard::run_cross_test_parallel_impl(
-            inputs,
-            config,
-            &ParallelConfig {
-                workers: shards,
-                chunk_size,
-            },
-        );
-        (out.outcome, Some(out.metrics))
-    } else {
-        (exec::run_cross_test_impl(inputs, config), None)
     }
 }
 
@@ -512,7 +484,7 @@ mod tests {
     fn builder_matches_the_legacy_serial_entrypoint() {
         let inputs = byte_input();
         let campaign = Campaign::new(&inputs).run();
-        let legacy = exec::run_cross_test_impl(&inputs, &CrossTestConfig::default());
+        let legacy = exec::run_cross_test_serial(&inputs, &CrossTestConfig::default());
         assert_eq!(
             serde_json::to_string(&campaign.report).unwrap(),
             serde_json::to_string(&legacy.report).unwrap()

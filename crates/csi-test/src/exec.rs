@@ -8,7 +8,6 @@
 //! its plans *and* formats, matching the artifact's `ss/sh/hs_difft`
 //! structure.
 
-use crate::classify;
 use crate::generator::{TestInput, Validity};
 use crate::plan::{Experiment, Interface, TestPlan};
 use crate::pool::DeploymentPool;
@@ -17,8 +16,7 @@ use csi_core::detect::{BaselineSet, DetectorSpec, OnlineDetector};
 use csi_core::diag::DiagSink;
 use csi_core::fault::FaultPlan;
 use csi_core::oracle::{
-    check_differential, check_error_handling, check_write_read, Observation, OracleFailure,
-    ReadOutcome, WriteOutcome,
+    check_error_handling, check_write_read, Observation, OracleFailure, ReadOutcome, WriteOutcome,
 };
 use csi_core::report::DiscrepancyReport;
 use csi_core::sql::quote_string;
@@ -112,9 +110,9 @@ pub struct CrossTestOutcome {
 }
 
 /// One full Metastore/MiniHdfs/SparkSession/HiveQl stack plus its
-/// diagnostics sink. The serial executor creates one per experiment; the
-/// parallel executor in [`crate::shard`] gives each worker its own pool of
-/// these so workers never contend on engine state.
+/// diagnostics sink. Each worker of the executor in [`crate::shard`] holds
+/// one at a time, for the experiment it is serving, so workers never
+/// contend on engine state.
 pub(crate) struct Deployment {
     pub(crate) sink: DiagSink,
     pub(crate) spark: SparkSession,
@@ -524,9 +522,9 @@ pub(crate) fn surfaced_error(obs: &Observation) -> Option<InteractionError> {
 }
 
 /// Runs the per-observation oracle for `input`: write–read for valid
-/// inputs, error-handling for invalid ones. Shared between the serial
-/// executor and the parallel merger so both evaluate observations
-/// identically.
+/// inputs, error-handling for invalid ones. Shared between the
+/// executor's merge and the serial reference so both evaluate
+/// observations identically.
 pub(crate) fn check_observation(input: &TestInput, obs: &Observation) -> Option<OracleFailure> {
     match input.validity {
         Validity::Valid => check_write_read(input.expected(), obs),
@@ -553,9 +551,12 @@ pub(crate) fn release_deployment(config: &CrossTestConfig, deployment: Deploymen
     }
 }
 
-/// The serial executor behind the [`crate::Campaign`] builder — the
-/// builder is the only public entry point.
-pub(crate) fn run_cross_test_impl(
+/// The serial reference the executor's tests compare against: Figure 6's
+/// nested loop, one deployment per experiment, oracles inline. Campaigns
+/// run through [`crate::shard::run_cross_test`], which must reproduce
+/// this loop's outcome at every worker count.
+#[cfg(test)]
+pub(crate) fn run_cross_test_serial(
     inputs: &[TestInput],
     config: &CrossTestConfig,
 ) -> CrossTestOutcome {
@@ -582,11 +583,12 @@ pub(crate) fn run_cross_test_impl(
                 }
             }
         }
-        failures.extend(check_differential(&exp_observations));
+        failures.extend(csi_core::oracle::check_differential(&exp_observations));
         observations.extend(exp_observations.into_iter().map(|o| (experiment, o)));
         release_deployment(config, deployment);
     }
-    let report = classify::classify(inputs, &observations, failures, config.detector.is_some());
+    let report =
+        crate::classify::classify(inputs, &observations, failures, config.detector.is_some());
     CrossTestOutcome {
         report,
         observations,
@@ -703,7 +705,7 @@ mod tests {
     #[test]
     fn pooled_run_is_byte_identical_to_fresh() {
         let inputs = one_input(DataType::Byte, Value::Byte(5), Validity::Valid);
-        let fresh = run_cross_test_impl(&inputs, &CrossTestConfig::default());
+        let fresh = run_cross_test_serial(&inputs, &CrossTestConfig::default());
         let pool = Arc::new(DeploymentPool::new());
         let pooled_config = CrossTestConfig {
             pool: Some(pool.clone()),
@@ -712,14 +714,14 @@ mod tests {
         // Two back-to-back runs: the second consumes deployments the first
         // released, so reuse (not just construction) is what's pinned.
         for round in 0..2 {
-            let pooled = run_cross_test_impl(&inputs, &pooled_config);
+            let (pooled, _) = crate::shard::run_cross_test(&inputs, &pooled_config, 1, 64);
             assert_eq!(
                 serde_json::to_string(&pooled.report).unwrap(),
                 serde_json::to_string(&fresh.report).unwrap(),
                 "pooled round {round} diverged from the fresh run"
             );
         }
-        // The serial loop releases each experiment's deployment before
+        // One worker releases each experiment's deployment before
         // acquiring the next, so one build serves all six acquires.
         let stats = pool.stats();
         assert_eq!(stats.created, 1);

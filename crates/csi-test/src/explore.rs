@@ -12,9 +12,9 @@
 //! from the grid.
 //!
 //! Determinism is load-bearing, exactly as everywhere else in the harness:
-//! scheduling is a pure function of (seed, inputs, budget); workers claim
-//! trials from a bump counter and write into pre-sized slots; absorption
-//! happens in trial order. A sharded explore run is byte-identical to a
+//! scheduling is a pure function of (seed, inputs, budget); batches run on
+//! the ordered executor ([`crate::shard::ordered_map`]), which returns
+//! observations in trial order; absorption happens in that order. A sharded explore run is byte-identical to a
 //! serial one, pinned by `tests/explore.rs`.
 
 use crate::classify;
@@ -22,6 +22,7 @@ use crate::exec::{self, CrossTestConfig, Deployment};
 use crate::generator::{mutate_input, TestInput, Validity};
 use crate::inject;
 use crate::plan::{Experiment, TestPlan};
+use crate::shard::ordered_map;
 use crate::shrink;
 use csi_core::boundary::{CrossingContext, CrossingOutcome};
 use csi_core::coverage::{CoverageMap, CoverageSignature};
@@ -30,9 +31,7 @@ use csi_core::oracle::{check_differential, Observation, OracleFailure};
 use csi_core::report::{CorpusRow, DiscoveryRow, DiscrepancyReport, ExplorationStats};
 use csi_core::value::DataType;
 use minihive::metastore::StorageFormat;
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Trials scheduled (and absorbed) per round. Rounds bound how stale the
 /// coverage feedback can get under sharding: every worker sees a schedule
@@ -309,39 +308,13 @@ impl Explorer {
         }
     }
 
-    /// Executes a batch: serially, or on `shards` workers claiming trials
-    /// off a bump counter into pre-sized slots (merge = slot order).
+    /// Executes a batch on `shards` workers, each keeping its own
+    /// per-experiment deployments; results come back in trial order.
     fn execute_batch(&self, batch: &[Trial]) -> Vec<Observation> {
-        let workers = self.shards.clamp(1, batch.len().max(1));
-        if workers <= 1 {
-            let mut pools = BTreeMap::new();
-            return batch
-                .iter()
-                .map(|t| self.run_trial(t, &mut pools))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Observation>>> =
-            (0..batch.len()).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut pools = BTreeMap::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= batch.len() {
-                            break;
-                        }
-                        let obs = self.run_trial(&batch[i], &mut pools);
-                        *slots[i].lock() = Some(obs);
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("every slot claimed and filled"))
-            .collect()
+        ordered_map(batch, self.shards, BTreeMap::new, |pools, t| {
+            self.run_trial(t, pools)
+        })
+        .0
     }
 
     /// Absorbs one observation, in trial order: coverage, corpus

@@ -21,6 +21,7 @@
 use crate::exec::{self, run_one, CrossTestConfig, Deployment};
 use crate::generator::{TestInput, Validity};
 use crate::plan::{Experiment, TestPlan};
+use crate::shard::ordered_map;
 use csi_core::boundary::{CrossingContext, InteractionTrace};
 use csi_core::detect::{
     flags_error_handling, BaselineSet, Detection, DetectionTap, DetectorAgreement, DetectorConfig,
@@ -31,6 +32,7 @@ use csi_core::fault::{
     Trigger,
 };
 use csi_core::report::FaultCellRow;
+use csi_core::rng::xorshift64;
 use csi_core::value::{DataType, Value};
 use csi_core::InteractionError;
 use miniflink::yarn_driver::{run_driver_traced, DriverMode, DriverRun};
@@ -39,24 +41,13 @@ use minihive::metastore::StorageFormat;
 use minikafka::{KafkaError, MiniKafka, PartitionId};
 use minispark::connectors::kafka::{consume_range, plan_range, OffsetModel};
 use miniyarn::{Resource, ResourceManager};
-use parking_lot::Mutex;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const KAFKA_TOPIC: &str = "t";
 const P0: PartitionId = PartitionId(0);
-
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
 
 fn spec(id: &str, channel: Channel, op: &str, kind: FaultKind, trigger: Trigger) -> FaultSpec {
     FaultSpec {
@@ -73,12 +64,12 @@ fn spec(id: &str, channel: Channel, op: &str, kind: FaultKind, trigger: Trigger)
 /// deterministically from `seed`.
 pub fn fault_catalogue(seed: u64) -> FaultPlan {
     let mut s = seed ^ 0x9E37_79B9_7F4A_7C15;
-    let ms_timeout = 10_000 + xorshift(&mut s) % 20_000;
-    let hdfs_timeout = 5_000 + xorshift(&mut s) % 10_000;
-    let kafka_timeout = 30_000 + xorshift(&mut s) % 30_000;
+    let ms_timeout = 10_000 + xorshift64(&mut s) % 20_000;
+    let hdfs_timeout = 5_000 + xorshift64(&mut s) % 10_000;
+    let kafka_timeout = 30_000 + xorshift64(&mut s) % 30_000;
     // FLINK-12342 regime: injected allocation latency must exceed the
     // driver's 500 ms heartbeat interval.
-    let yarn_latency = 600 + xorshift(&mut s) % 400;
+    let yarn_latency = 600 + xorshift64(&mut s) % 400;
     FaultPlan {
         seed,
         faults: vec![
@@ -793,50 +784,13 @@ fn build_report(config: &FaultMatrixConfig, cases: Vec<FaultCase>) -> FaultMatri
     }
 }
 
-/// The serial matrix runner behind [`crate::Campaign::fault_matrix`] —
-/// cells run in canonical order.
-pub(crate) fn run_fault_matrix_impl(config: &FaultMatrixConfig) -> FaultMatrixReport {
+/// The matrix runner behind [`crate::Campaign::fault_matrix`]: every
+/// cell on `workers` workers of [`ordered_map`] (`0` or `1` runs inline),
+/// merged in canonical cell order. Every cell is hermetic, so the report
+/// is byte-identical at any worker count.
+pub(crate) fn run_fault_matrix(config: &FaultMatrixConfig, workers: usize) -> FaultMatrixReport {
     let cells = enumerate_cells(config);
-    let cases = cells.iter().map(|c| run_cell(config, c)).collect();
-    build_report(config, cases)
-}
-
-/// The sharded matrix runner behind [`crate::Campaign::fault_matrix`]
-/// with [`crate::Campaign::shards`]: the matrix on `workers` threads.
-///
-/// Cells are claimed from a bump counter and their results stored by cell
-/// index, then merged in canonical order — the same slot scheme as the
-/// sharded cross-test executor. Because every cell is hermetic, the
-/// report is byte-identical to [`run_fault_matrix_impl`] at any worker
-/// count.
-pub(crate) fn run_fault_matrix_sharded_impl(
-    config: &FaultMatrixConfig,
-    workers: usize,
-) -> FaultMatrixReport {
-    let workers = workers.max(1);
-    let cells = enumerate_cells(config);
-    let slots: Vec<Mutex<Option<FaultCase>>> = cells.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    {
-        let cells = &cells;
-        let slots = &slots;
-        let next = &next;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= cells.len() {
-                        break;
-                    }
-                    *slots[i].lock() = Some(run_cell(config, &cells[i]));
-                });
-            }
-        });
-    }
-    let cases = slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every cell was executed"))
-        .collect();
+    let (cases, _) = ordered_map(&cells, workers, || (), |_, cell| run_cell(config, cell));
     build_report(config, cases)
 }
 
@@ -971,8 +925,10 @@ mod tests {
     fn sharded_matrix_is_byte_identical_to_serial() {
         let config = FaultMatrixConfig::smoke(11);
         let json = |r: &FaultMatrixReport| serde_json::to_string(r).unwrap();
-        let serial = json(&run_fault_matrix_impl(&config));
-        let sharded = json(&run_fault_matrix_sharded_impl(&config, 3));
+        let cells = enumerate_cells(&config);
+        let cases = cells.iter().map(|c| run_cell(&config, c)).collect();
+        let serial = json(&build_report(&config, cases));
+        let sharded = json(&run_fault_matrix(&config, 3));
         assert_eq!(serial, sharded);
     }
 

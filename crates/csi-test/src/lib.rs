@@ -40,7 +40,7 @@ pub use inject::{
 pub use multi::{CompoundConfig, CompoundResult, InterleaveSchedule};
 pub use plan::{Experiment, Interface, TestPlan};
 pub use pool::{DeploymentPool, PoolStats};
-pub use shard::{CampaignMetrics, ParallelConfig, ParallelOutcome, WorkerStats};
+pub use shard::{CampaignMetrics, WorkerStats};
 pub use shrink::{reproducer_triggers, Reproducer, ShrunkReproducer};
 pub use spec::{CampaignSpec, InputSelection, SpecError, MAX_KFAULTS, MAX_SHARDS};
 pub use tolerate::{redundant_read, redundant_read_traced, ReadPath, RedundantRead};

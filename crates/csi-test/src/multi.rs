@@ -25,28 +25,29 @@
 //! [`prefix_fingerprint`]), and ddmin-shrinks each cluster to a minimal
 //! fault-set + interleaving reproducer. Determinism is load-bearing, as
 //! everywhere else in the harness: trials are hermetic (fresh deployment
-//! per trial), workers claim trials off a bump counter into pre-sized
-//! slots, and absorption happens in trial order — a sharded compound pass
-//! is byte-identical to a serial one, pinned by `tests/kfault.rs`.
+//! per trial), batches run on the ordered executor
+//! ([`crate::shard::ordered_map`]), and absorption happens in trial order
+//! — a sharded compound pass is byte-identical to a serial one, pinned by
+//! `tests/kfault.rs`.
 
 use crate::exec::{self, CrossTestConfig, Deployment};
 use crate::generator::TestInput;
 use crate::inject;
 use crate::plan::{Experiment, TestPlan};
+use crate::shard::ordered_map;
 use csi_core::boundary::{CrossingContext, CrossingOutcome, InteractionTrace};
 use csi_core::coverage::{prefix_fingerprint, CoverageMap, CoverageSignature};
 use csi_core::fault::{
     classify_fault_outcome, fault_combinations, Channel, FaultOutcome, FaultSet, InjectedFault,
 };
 use csi_core::report::{ClusterRow, CompoundStats};
+use csi_core::rng::splitmix64;
 use csi_core::sim::{Millis, Sim};
 use csi_core::value::Value;
 use csi_core::InteractionError;
 use minihive::metastore::StorageFormat;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Turns per job: `create`, `insert`, `read`.
 pub const TURNS_PER_JOB: usize = 3;
@@ -93,14 +94,6 @@ pub struct InterleaveSchedule {
     pub turns: Vec<(usize, usize)>,
 }
 
-fn splitmix(x: &mut u64) -> u64 {
-    *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl InterleaveSchedule {
     /// The identity schedule: jobs run back-to-back, in job order — the
     /// single-job serial semantics of the rest of the harness.
@@ -125,7 +118,7 @@ impl InterleaveSchedule {
             let alive: Vec<usize> = (0..jobs)
                 .filter(|&j| next_turn[j] < turns_per_job)
                 .collect();
-            let pick = alive[(splitmix(&mut state) % alive.len() as u64) as usize];
+            let pick = alive[(splitmix64(&mut state) % alive.len() as u64) as usize];
             turns.push((pick, next_turn[pick]));
             next_turn[pick] += 1;
         }
@@ -408,42 +401,6 @@ pub struct CompoundResult {
     pub discrepancies: Vec<CompoundDiscrepancy>,
 }
 
-fn execute_batch(
-    jobs: &[JobSpec],
-    sets: &[FaultSet],
-    schedules: &[InterleaveSchedule],
-    batch: &[(usize, usize)],
-    shards: usize,
-) -> Vec<CompoundTrialReport> {
-    let workers = shards.clamp(1, batch.len().max(1));
-    if workers <= 1 {
-        return batch
-            .iter()
-            .map(|&(si, hi)| run_compound_trial(jobs, &sets[si], &schedules[hi]))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<CompoundTrialReport>>> =
-        (0..batch.len()).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= batch.len() {
-                    break;
-                }
-                let (si, hi) = batch[i];
-                let report = run_compound_trial(jobs, &sets[si], &schedules[hi]);
-                *slots[i].lock() = Some(report);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("every slot claimed and filled"))
-        .collect()
-}
-
 /// Sub-sets of `set` at the given arity, in member order — the ddmin
 /// candidate order of the cluster shrinker.
 fn subsets_of(set: &FaultSet, size: usize) -> Vec<FaultSet> {
@@ -526,7 +483,12 @@ pub fn run_compound(config: &CompoundConfig) -> CompoundResult {
         if batch.is_empty() {
             break;
         }
-        let reports = execute_batch(&jobs, &sets, &schedules, &batch, config.shards);
+        let (reports, _) = ordered_map(
+            &batch,
+            config.shards,
+            || (),
+            |_, &(si, hi)| run_compound_trial(&jobs, &sets[si], &schedules[hi]),
+        );
         for (&(si, _hi), report) in batch.iter().zip(reports) {
             executed += 1;
             let mut sig = CoverageSignature::from_trace(&report.trace);

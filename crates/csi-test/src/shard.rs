@@ -1,22 +1,26 @@
-//! Parallel sharded campaign executor.
+//! The one ordered executor, and the sharded cross-test built on it.
 //!
-//! The serial executor in [`crate::exec`] walks the (experiment, plan,
-//! format, input) space one observation at a time; a full-catalogue
-//! campaign is embarrassingly parallel but single-threaded. This module
-//! shards that space into (experiment, plan, format, input-chunk) work
-//! units and drains them with a worker pool:
+//! Every campaign mode — cross-test, fault matrix, explore and compound —
+//! runs serial and sharded through [`ordered_map`], the only place the
+//! workspace's libraries spawn worker threads, so serial == sharded holds
+//! by construction.
 //!
-//! - **Deployment pooling** — each worker owns its *own*
-//!   Metastore/MiniHdfs/SparkSession/HiveQl stack (one per experiment,
-//!   created lazily, mirroring the serial executor's
-//!   fresh-deployment-per-experiment discipline), so workers never contend
-//!   on engine locks.
-//! - **Deterministic merge** — workers only *record* observations, tagged
-//!   with their shard index. The merger restores canonical (experiment,
-//!   plan, format, input-id) order and only then runs the write–read,
-//!   error-handling, and differential oracles, so failures are produced in
-//!   exactly the serial order and the resulting [`DiscrepancyReport`] is
-//!   byte-identical to the serial executor's.
+//! The cross-test campaign ([`run_cross_test`]) shards the (experiment,
+//! plan, format, input) space into (experiment, plan, format,
+//! input-chunk) work units:
+//!
+//! - **One deployment per worker** — a worker holds one
+//!   Metastore/MiniHdfs/SparkSession/HiveQl stack at a time, serving one
+//!   experiment, and releases it when it claims a unit of the next
+//!   experiment. Claims come in increasing order, so a worker never
+//!   returns to an earlier experiment: this is the serial loop's
+//!   acquire/release pattern, and workers never contend on engine locks.
+//! - **Deterministic merge** — workers only *record* observations. The
+//!   merge walks the units in canonical (experiment, plan, format,
+//!   input-id) order and only then runs the write–read, error-handling,
+//!   and differential oracles, so failures come out in exactly the serial
+//!   order and the [`DiscrepancyReport`] is byte-identical at any worker
+//!   count.
 //! - **Campaign metrics** — observations/sec, per-phase wall time, and
 //!   per-worker utilization are surfaced in [`CampaignMetrics`] for the
 //!   `campaign` bench binary.
@@ -32,38 +36,18 @@ use crate::generator::TestInput;
 use crate::plan::{Experiment, TestPlan};
 use csi_core::oracle::{check_differential, Observation, OracleFailure};
 use minihive::metastore::StorageFormat;
-use parking_lot::Mutex;
 use serde::Serialize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
-
-/// Configuration of the parallel campaign executor.
-#[derive(Debug, Clone)]
-pub struct ParallelConfig {
-    /// Worker-pool size; `0` uses [`std::thread::available_parallelism`].
-    pub workers: usize,
-    /// Maximum number of inputs per shard. Smaller chunks balance better
-    /// across workers; larger chunks amortize queue traffic.
-    pub chunk_size: usize,
-}
-
-impl Default for ParallelConfig {
-    fn default() -> ParallelConfig {
-        ParallelConfig {
-            workers: 0,
-            chunk_size: 64,
-        }
-    }
-}
 
 /// Execution statistics for one worker of the pool.
 #[derive(Debug, Clone, Serialize)]
 pub struct WorkerStats {
     /// Worker index within the pool.
     pub worker: usize,
-    /// Shards this worker executed.
+    /// Work units (shards, matrix cells, trials) this worker executed.
     pub shards: usize,
-    /// Observations this worker recorded.
+    /// Observations this worker recorded (cross-test campaigns only).
     pub observations: usize,
     /// Time spent executing shards, in microseconds.
     pub busy_micros: u64,
@@ -71,7 +55,7 @@ pub struct WorkerStats {
     pub utilization: f64,
 }
 
-/// Wall-time and throughput metrics for one parallel campaign.
+/// Wall-time and throughput metrics for one cross-test campaign.
 #[derive(Debug, Clone, Serialize)]
 pub struct CampaignMetrics {
     /// Workers in the pool.
@@ -80,7 +64,7 @@ pub struct CampaignMetrics {
     pub shards: usize,
     /// Total observations recorded.
     pub observations: usize,
-    /// Wall time of the parallel execute phase, in microseconds.
+    /// Wall time of the execute phase, in microseconds.
     pub execute_micros: u64,
     /// Wall time of the merge phase (oracles + classification) — the
     /// campaign's oracle overhead, in microseconds.
@@ -91,16 +75,6 @@ pub struct CampaignMetrics {
     pub observations_per_sec: f64,
     /// Per-worker breakdown.
     pub per_worker: Vec<WorkerStats>,
-}
-
-/// The result of a sharded campaign: the same outcome the serial
-/// executor produces, plus campaign metrics.
-#[derive(Debug, Clone)]
-pub struct ParallelOutcome {
-    /// Report and observations, identical to the serial run's.
-    pub outcome: CrossTestOutcome,
-    /// Throughput and utilization metrics.
-    pub metrics: CampaignMetrics,
 }
 
 /// One work unit: a contiguous slice of the input catalogue under a fixed
@@ -115,7 +89,7 @@ struct Shard {
     hi: usize,
 }
 
-/// Enumerates shards in the serial executor's canonical nesting order:
+/// Enumerates shards in canonical nesting order:
 /// experiment, then plan, then format, then input chunks.
 fn build_shards(inputs_len: usize, config: &CrossTestConfig, chunk_size: usize) -> Vec<Shard> {
     let mut shards = Vec::new();
@@ -141,130 +115,155 @@ fn build_shards(inputs_len: usize, config: &CrossTestConfig, chunk_size: usize) 
     shards
 }
 
-/// Runs the full cross-test on a worker pool and merges the shard results
-/// back into canonical order — the sharded executor behind
-/// [`crate::Campaign::shards`].
+/// Maps `step` over `items` on `workers` threads and returns the results
+/// in item order, with each worker's final state and statistics.
 ///
-/// The returned [`CrossTestOutcome`] — observations, failure ordering, and
-/// the classified [`DiscrepancyReport`] — is identical to what
-/// [`crate::exec::run_cross_test_impl`] produces for the same `inputs` and
-/// `config`; only the wall time differs. See the module docs for how the
-/// merge guarantees this.
+/// Workers claim items off one shared counter; each builds its state with
+/// `init` once and threads it through every `step` it runs. The calling
+/// thread is worker 0, so one worker runs everything inline. `workers` is
+/// clamped to `1..=items.len()` (`0` means one worker; empty input runs
+/// `init` once on the caller and spawns nothing). A panicking `step`
+/// propagates to the caller once the other workers have drained the
+/// remaining items.
+pub(crate) fn ordered_map<T, S, R>(
+    items: &[T],
+    workers: usize,
+    init: impl Fn() -> S + Sync,
+    step: impl Fn(&mut S, &T) -> R + Sync,
+) -> (Vec<R>, Vec<(S, WorkerStats)>)
+where
+    T: Sync,
+    S: Send,
+    R: Send,
+{
+    let workers = workers.clamp(1, items.len().max(1));
+    let next = AtomicUsize::new(0);
+    let work = |worker: usize| {
+        let started = Instant::now();
+        let mut state = init();
+        let mut done = Vec::new();
+        let mut busy_micros = 0u64;
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break };
+            let item_started = Instant::now();
+            done.push((i, step(&mut state, item)));
+            busy_micros += item_started.elapsed().as_micros() as u64;
+        }
+        let lifetime_micros = started.elapsed().as_micros().max(1) as u64;
+        let stats = WorkerStats {
+            worker,
+            shards: done.len(),
+            observations: 0,
+            busy_micros,
+            utilization: busy_micros as f64 / lifetime_micros as f64,
+        };
+        (done, state, stats)
+    };
+    let finished = std::thread::scope(|scope| {
+        let work = &work;
+        let spawned: Vec<_> = (1..workers)
+            .map(|worker| scope.spawn(move || work(worker)))
+            .collect();
+        let mut finished = vec![work(0)];
+        finished.extend(spawned.into_iter().map(|handle| {
+            handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        }));
+        finished
+    });
+    let mut results = Vec::with_capacity(items.len());
+    let mut per_worker = Vec::with_capacity(workers);
+    for (done, state, stats) in finished {
+        results.extend(done);
+        per_worker.push((state, stats));
+    }
+    results.sort_unstable_by_key(|&(i, _)| i);
+    (results.into_iter().map(|(_, r)| r).collect(), per_worker)
+}
+
+/// Runs the full cross-test on `workers` workers (`0` or `1` runs inline
+/// on the caller) and merges the shard results back into canonical order
+/// — the executor behind every cross-test [`crate::Campaign`].
+///
+/// The returned [`CrossTestOutcome`] — observations, failure ordering,
+/// and the classified [`DiscrepancyReport`] — is the same at every worker
+/// count and chunk size; only the wall time differs. See the module docs
+/// for how the merge guarantees this.
 ///
 /// [`DiscrepancyReport`]: csi_core::report::DiscrepancyReport
-pub(crate) fn run_cross_test_parallel_impl(
+pub(crate) fn run_cross_test(
     inputs: &[TestInput],
     config: &CrossTestConfig,
-    parallel: &ParallelConfig,
-) -> ParallelOutcome {
+    workers: usize,
+    chunk_size: usize,
+) -> (CrossTestOutcome, CampaignMetrics) {
     let campaign_started = Instant::now();
-    let chunk_size = parallel.chunk_size.max(1);
-    let shards = build_shards(inputs.len(), config, chunk_size);
-    let workers = if parallel.workers == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    } else {
-        parallel.workers
-    }
-    .clamp(1, shards.len().max(1));
-
-    // Shared work queue (a bump counter over the shard list) and one result
-    // slot per shard, so workers never serialize on a single collection
-    // lock while another worker is storing a large batch.
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Vec<Observation>>>> =
-        shards.iter().map(|_| Mutex::new(None)).collect();
-    let stats: Mutex<Vec<WorkerStats>> = Mutex::new(Vec::with_capacity(workers));
-
-    {
-        let shards = &shards;
-        let slots = &slots;
-        let next = &next;
-        let stats = &stats;
-        std::thread::scope(|scope| {
-            for worker in 0..workers {
-                scope.spawn(move || {
-                    let worker_started = Instant::now();
-                    let mut busy_micros = 0u64;
-                    let mut my_shards = 0usize;
-                    let mut my_observations = 0usize;
-                    // Deployment set: one lazily-acquired stack per
-                    // experiment, so observations come from a deployment
-                    // that only ever served that experiment (as in the
-                    // serial executor). With a warm pool on `config`,
-                    // acquisition hits the pool's shelves instead of
-                    // building; every stack goes back on release below.
-                    let mut deployments: Vec<Option<Deployment>> =
-                        config.experiments.iter().map(|_| None).collect();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= shards.len() {
-                            break;
-                        }
-                        let shard = &shards[i];
-                        let shard_started = Instant::now();
-                        let deployment = deployments[shard.experiment_idx]
-                            .get_or_insert_with(|| acquire_deployment(config));
-                        let mut batch = Vec::with_capacity(shard.hi - shard.lo);
-                        for input in &inputs[shard.lo..shard.hi] {
-                            batch.push(run_one(
-                                deployment,
-                                shard.experiment,
-                                shard.plan,
-                                shard.format,
-                                input,
-                                config.recycle_tables,
-                            ));
-                        }
-                        my_shards += 1;
-                        my_observations += batch.len();
-                        *slots[i].lock() = Some(batch);
-                        busy_micros += shard_started.elapsed().as_micros() as u64;
-                    }
-                    // Hand every acquired stack back to the warm pool (a
-                    // no-op without one).
-                    for deployment in deployments.into_iter().flatten() {
-                        release_deployment(config, deployment);
-                    }
-                    let lifetime_micros = worker_started.elapsed().as_micros().max(1) as u64;
-                    stats.lock().push(WorkerStats {
-                        worker,
-                        shards: my_shards,
-                        observations: my_observations,
-                        busy_micros,
-                        utilization: busy_micros as f64 / lifetime_micros as f64,
-                    });
-                });
+    let shards = build_shards(inputs.len(), config, chunk_size.max(1));
+    // Worker state: the deployment serving the worker's current
+    // experiment, and the observations it has recorded.
+    let init = || (None::<(usize, Deployment)>, 0);
+    let (batches, finished) = ordered_map(&shards, workers, init, |(held, observed), shard| {
+        if held.as_ref().map(|(idx, _)| *idx) != Some(shard.experiment_idx) {
+            // Claims arrive in increasing shard order, so this worker is
+            // done with its previous experiment: hand that stack back
+            // before taking one for the next.
+            if let Some((_, done)) = held.take() {
+                release_deployment(config, done);
             }
-        });
-    }
+            *held = Some((shard.experiment_idx, acquire_deployment(config)));
+        }
+        let (_, deployment) = held.as_ref().expect("acquired above");
+        let batch: Vec<Observation> = inputs[shard.lo..shard.hi]
+            .iter()
+            .map(|input| {
+                run_one(
+                    deployment,
+                    shard.experiment,
+                    shard.plan,
+                    shard.format,
+                    input,
+                    config.recycle_tables,
+                )
+            })
+            .collect();
+        *observed += batch.len();
+        batch
+    });
+    let per_worker: Vec<WorkerStats> = finished
+        .into_iter()
+        .map(|((held, observations), stats)| {
+            if let Some((_, deployment)) = held {
+                release_deployment(config, deployment);
+            }
+            WorkerStats {
+                observations,
+                ..stats
+            }
+        })
+        .collect();
 
     let execute_micros = campaign_started.elapsed().as_micros() as u64;
     let merge_started = Instant::now();
 
-    // Deterministic merge: slot order is canonical shard order, so walking
-    // the slots replays the serial executor's observation sequence; the
-    // oracles then fire in exactly the serial order.
-    let mut batches: Vec<Vec<Observation>> = slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every shard was executed"))
-        .collect();
+    // Deterministic merge: batch order is canonical shard order, so walking
+    // the batches replays the serial observation sequence; the oracles
+    // then fire in exactly the serial order.
     let mut observations: Vec<(Experiment, Observation)> = Vec::new();
     let mut failures: Vec<OracleFailure> = Vec::new();
-    let mut cursor = 0;
+    let mut units = shards.iter().zip(batches).peekable();
     for (experiment_idx, &experiment) in config.experiments.iter().enumerate() {
         let mut exp_observations: Vec<Observation> = Vec::new();
-        while cursor < shards.len() && shards[cursor].experiment_idx == experiment_idx {
-            let shard = &shards[cursor];
-            let batch = std::mem::take(&mut batches[cursor]);
+        while let Some((shard, batch)) =
+            units.next_if(|(shard, _)| shard.experiment_idx == experiment_idx)
+        {
             for (input, obs) in inputs[shard.lo..shard.hi].iter().zip(&batch) {
                 if let Some(f) = check_observation(input, obs) {
                     failures.push(f);
                 }
             }
             exp_observations.extend(batch);
-            cursor += 1;
         }
         failures.extend(check_differential(&exp_observations));
         observations.extend(exp_observations.into_iter().map(|o| (experiment, o)));
@@ -273,10 +272,8 @@ pub(crate) fn run_cross_test_parallel_impl(
 
     let oracle_micros = merge_started.elapsed().as_micros() as u64;
     let total_micros = campaign_started.elapsed().as_micros() as u64;
-    let mut per_worker = stats.into_inner();
-    per_worker.sort_by_key(|w| w.worker);
     let metrics = CampaignMetrics {
-        workers,
+        workers: per_worker.len(),
         shards: shards.len(),
         observations: observations.len(),
         execute_micros,
@@ -286,21 +283,25 @@ pub(crate) fn run_cross_test_parallel_impl(
             / (execute_micros.max(1) as f64 / 1_000_000.0),
         per_worker,
     };
-    ParallelOutcome {
-        outcome: CrossTestOutcome {
+    (
+        CrossTestOutcome {
             report,
             observations,
         },
         metrics,
-    }
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::run_cross_test_impl;
-    use crate::generator::Validity;
+    use crate::campaign::Campaign;
+    use crate::exec::run_cross_test_serial;
+    use crate::generator::{generate_inputs, Validity};
+    use crate::pool::DeploymentPool;
     use csi_core::value::{DataType, Value};
+    use std::sync::Arc;
+    use std::time::Duration;
 
     fn small_inputs() -> Vec<TestInput> {
         [
@@ -343,21 +344,14 @@ mod tests {
     fn parallel_matches_serial_on_small_catalogue() {
         let inputs = small_inputs();
         let config = CrossTestConfig::default();
-        let serial = run_cross_test_impl(&inputs, &config);
+        let serial = run_cross_test_serial(&inputs, &config);
         for workers in [1, 3] {
-            let out = run_cross_test_parallel_impl(
-                &inputs,
-                &config,
-                &ParallelConfig {
-                    workers,
-                    chunk_size: 2,
-                },
-            );
-            assert_eq!(out.outcome.observations, serial.observations);
-            assert_eq!(out.outcome.report, serial.report);
-            assert_eq!(out.metrics.workers, workers);
-            assert_eq!(out.metrics.observations, serial.observations.len());
-            let by_worker: usize = out.metrics.per_worker.iter().map(|w| w.observations).sum();
+            let (outcome, metrics) = run_cross_test(&inputs, &config, workers, 2);
+            assert_eq!(outcome.observations, serial.observations);
+            assert_eq!(outcome.report, serial.report);
+            assert_eq!(metrics.workers, workers);
+            assert_eq!(metrics.observations, serial.observations.len());
+            let by_worker: usize = metrics.per_worker.iter().map(|w| w.observations).sum();
             assert_eq!(by_worker, serial.observations.len());
         }
     }
@@ -365,35 +359,96 @@ mod tests {
     #[test]
     fn recycling_does_not_change_the_report() {
         let inputs = small_inputs();
-        let plain = run_cross_test_impl(&inputs, &CrossTestConfig::default());
-        let recycled = run_cross_test_parallel_impl(
+        let plain = run_cross_test_serial(&inputs, &CrossTestConfig::default());
+        let (recycled, _) = run_cross_test(
             &inputs,
             &CrossTestConfig {
                 recycle_tables: true,
                 ..CrossTestConfig::default()
             },
-            &ParallelConfig {
-                workers: 2,
-                chunk_size: 1,
-            },
+            2,
+            1,
         );
-        assert_eq!(recycled.outcome.report, plain.report);
-        assert_eq!(recycled.outcome.observations, plain.observations);
+        assert_eq!(recycled.report, plain.report);
+        assert_eq!(recycled.observations, plain.observations);
     }
 
     #[test]
     fn metrics_are_serializable_to_json() {
         let inputs = small_inputs();
-        let out = run_cross_test_parallel_impl(
-            &inputs,
-            &CrossTestConfig::default(),
-            &ParallelConfig {
-                workers: 2,
-                chunk_size: 2,
-            },
-        );
-        let json = serde_json::to_string(&out.metrics).expect("metrics serialize");
+        let (_, metrics) = run_cross_test(&inputs, &CrossTestConfig::default(), 2, 2);
+        let json = serde_json::to_string(&metrics).expect("metrics serialize");
         assert!(json.contains("\"observations_per_sec\""));
         assert!(json.contains("\"per_worker\""));
+    }
+
+    #[test]
+    fn a_sharded_pooled_campaign_holds_one_deployment_per_worker() {
+        let inputs = generate_inputs();
+        let inputs = &inputs[..8];
+        let pool = Arc::new(DeploymentPool::new());
+        let pooled = Campaign::new(inputs)
+            .shards(2)
+            .chunk_size(2)
+            .pool(pool.clone())
+            .run();
+        let fresh = Campaign::new(inputs).run();
+        assert_eq!(pooled.report, fresh.report);
+        let stats = pool.stats();
+        assert!(stats.created <= 2, "{stats:?}");
+        assert_eq!(stats.shelved as u64, stats.created);
+    }
+
+    #[test]
+    fn ordered_map_returns_item_order_under_skewed_cost_and_inits_once_per_worker() {
+        let inits = AtomicUsize::new(0);
+        let items: Vec<u64> = (0..12).collect();
+        let init = || inits.fetch_add(1, Ordering::Relaxed);
+        let (results, per_worker) = ordered_map(&items, 4, init, |_, &i| {
+            // Earlier items cost more, so later ones finish first.
+            std::thread::sleep(Duration::from_millis(2 * (12 - i)));
+            i * 10
+        });
+        assert_eq!(results, items.iter().map(|i| i * 10).collect::<Vec<_>>());
+        assert_eq!(inits.load(Ordering::Relaxed), 4);
+        let workers: Vec<usize> = per_worker.iter().map(|(_, w)| w.worker).collect();
+        assert_eq!(workers, [0, 1, 2, 3]);
+        let claimed: usize = per_worker.iter().map(|(_, w)| w.shards).sum();
+        assert_eq!(claimed, items.len());
+    }
+
+    #[test]
+    fn ordered_map_clamps_workers_and_runs_worker_0_on_the_caller() {
+        let caller = std::thread::current().id();
+        // (items, workers asked, workers run): empty input spawns nothing.
+        for (n, asked, expected) in [(2, 0, 1), (2, 1, 1), (2, 2, 2), (2, 8, 2), (0, 4, 1)] {
+            let items: Vec<usize> = (0..n).collect();
+            let (results, per_worker) =
+                ordered_map(&items, asked, || std::thread::current().id(), |_, &i| i);
+            assert_eq!(results, items);
+            assert_eq!(per_worker.len(), expected, "{n} items, {asked} asked");
+            assert_eq!(per_worker[0].0, caller);
+        }
+    }
+
+    #[test]
+    fn ordered_map_propagates_a_panicking_step() {
+        let items: Vec<usize> = (0..16).collect();
+        for workers in [1, 3] {
+            let panic = std::panic::catch_unwind(|| {
+                ordered_map(
+                    &items,
+                    workers,
+                    || (),
+                    |_, &i| {
+                        assert_ne!(i, 9, "step failed on item 9");
+                        i
+                    },
+                )
+            })
+            .expect_err("the panic reaches the caller");
+            let message = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(message.contains("step failed on item 9"), "{message}");
+        }
     }
 }
