@@ -4,7 +4,7 @@
 #
 #   ./ci.sh lint          # cargo fmt --check + clippy -D warnings
 #   ./ci.sh build         # release build of the whole workspace
-#   ./ci.sh test          # full test suite
+#   ./ci.sh test          # full test suite, each binary under a wall-clock bound
 #   ./ci.sh determinism   # serial-vs-sharded byte-identity suites
 #   ./ci.sh reports       # report bins + BENCH_*.json trajectory schema check
 #   ./ci.sh golden        # golden campaign report drift check
@@ -57,9 +57,49 @@ stage_build() {
   cargo build --release --workspace
 }
 
+# Wall-clock bound on each test binary, and on the doctests as a whole.
+# The slowest binary takes seconds, so one that overruns this is hung
+# (a deadlock, say) and fails the stage by name instead of stalling it.
+TEST_BOUND_S=300
+
 stage_test() {
-  echo "==> tests"
-  cargo test -q --workspace
+  echo "==> tests (each binary bounded to ${TEST_BOUND_S}s wall clock)"
+  local artifacts manifest exe status ran=0 libdir
+  artifacts="$(cargo test --workspace --no-run --message-format=json)"
+  # Proc-macro test binaries link the toolchain's libstd dynamically;
+  # `cargo test` puts its directory on the library path, so do the same.
+  libdir="$(rustc --print target-libdir)"
+  # One "<package manifest>\t<test executable>" line per test binary.
+  while IFS=$'\t' read -r manifest exe; do
+    # Run from the package directory, as `cargo test` does: test paths
+    # are package-relative.
+    status=0
+    (cd "$(dirname "$manifest")" &&
+      LD_LIBRARY_PATH="$libdir${LD_LIBRARY_PATH:+:$LD_LIBRARY_PATH}" \
+        timeout -k 10 "$TEST_BOUND_S" "$exe" -q </dev/null) || status=$?
+    if [ "$status" = 124 ] || [ "$status" = 137 ]; then
+      echo "test binary $exe ($manifest) exceeded ${TEST_BOUND_S}s" >&2
+      return 1
+    elif [ "$status" != 0 ]; then
+      echo "test binary $exe ($manifest) failed" >&2
+      return 1
+    fi
+    ran=$((ran + 1))
+  done < <(printf '%s\n' "$artifacts" |
+    sed -n 's/.*"manifest_path":"\([^"]*\)".*"test":true},"features".*"executable":"\([^"]*\)".*/\1\t\2/p')
+  if [ "$ran" = 0 ]; then
+    echo "found no test binaries in cargo's build output" >&2
+    return 1
+  fi
+  echo "    ${ran} test binaries passed"
+  echo "==> doctests (bounded to ${TEST_BOUND_S}s wall clock)"
+  status=0
+  timeout -k 10 "$TEST_BOUND_S" cargo test -q --workspace --doc || status=$?
+  if [ "$status" = 124 ] || [ "$status" = 137 ]; then
+    echo "doctests exceeded ${TEST_BOUND_S}s" >&2
+    return 1
+  fi
+  return "$status"
 }
 
 stage_determinism() {

@@ -49,15 +49,8 @@ fn bench_serializers(c: &mut Criterion) {
         .collect();
     // The columnar plane works from prebuilt typed buffers — the shape the
     // engines' bulk APIs and the campaign actually use.
-    let mut cols: Vec<csi_core::column::ValueColumn> = schema
-        .iter()
-        .map(|f| csi_core::column::ValueColumn::for_type(&f.data_type))
-        .collect();
-    for row in &rows {
-        for (col, v) in cols.iter_mut().zip(row) {
-            col.push(v);
-        }
-    }
+    let types: Vec<DataType> = schema.iter().map(|f| f.data_type.clone()).collect();
+    let cols = csi_core::column::columns_from_rows(&types, &rows).unwrap();
     let config = minispark::SparkConfig::new();
     let mut group = c.benchmark_group("serde");
     for format in StorageFormat::ALL {
@@ -143,12 +136,8 @@ fn bench_oracles(c: &mut Criterion) {
     // join it replaced, over the 9-column bulk schema at 4096 rows.
     let cols = csi_test::generator::generate_bulk_columns(4096, 42);
     let other = csi_test::generator::generate_bulk_columns(4096, 42);
-    let rows: Vec<Vec<Value>> = (0..4096)
-        .map(|i| cols.iter().map(|c| c.get(i)).collect())
-        .collect();
-    let other_rows: Vec<Vec<Value>> = (0..4096)
-        .map(|i| other.iter().map(|c| c.get(i)).collect())
-        .collect();
+    let rows = csi_core::column::rows_from_columns(&cols);
+    let other_rows = csi_core::column::rows_from_columns(&other);
     c.bench_function("oracle/column_diff_wide_9x4096", |b| {
         b.iter(|| {
             std::hint::black_box(

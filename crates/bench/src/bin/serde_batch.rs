@@ -15,7 +15,7 @@
 //! CI gate (256 rows, asserts the committed speedup floors).
 
 use csi_bench::trajectory;
-use csi_core::column::ValueColumn;
+use csi_core::column::{rows_from_columns, ValueColumn};
 use csi_core::value::Value;
 use csi_test::generator::{bulk_schema, generate_bulk_columns};
 use minihive::metastore::StorageFormat;
@@ -88,13 +88,6 @@ fn column_oracle_agrees(a: &[ValueColumn], b: &[ValueColumn]) -> bool {
             .all(|(x, y)| x.canonical_eq(y) && x.fingerprint() == y.fingerprint())
 }
 
-fn transpose(cols: &[ValueColumn]) -> Vec<Vec<Value>> {
-    let n = cols.first().map_or(0, ValueColumn::len);
-    (0..n)
-        .map(|i| cols.iter().map(|c| c.get(i)).collect())
-        .collect()
-}
-
 fn main() {
     let mut args = std::env::args().skip(1).peekable();
     let smoke = args.peek().map(String::as_str) == Some("--smoke");
@@ -112,7 +105,7 @@ fn main() {
 
     let schema = bulk_schema();
     let cols = generate_bulk_columns(rows, 42);
-    let rows_data = transpose(&cols);
+    let rows_data = rows_from_columns(&cols);
     let config = SparkConfig::default();
 
     let mut micros = BTreeMap::new();
@@ -146,7 +139,7 @@ fn main() {
         .expect("oracle write");
     let cols2 = minispark::serde_layer::read_columns(StorageFormat::Orc, &schema, &bytes, &config)
         .expect("oracle read");
-    let rows2 = transpose(&cols2);
+    let rows2 = rows_from_columns(&cols2);
     let o_rows = best_of(iters, || row_oracle_agrees(&rows_data, &rows2));
     let o_cols = best_of(iters, || column_oracle_agrees(&cols, &cols2));
     assert!(

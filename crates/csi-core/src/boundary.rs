@@ -337,17 +337,6 @@ impl CrossingContext {
         CrossingContext::with_enabled(InjectionRegistry::new(), false)
     }
 
-    /// A tracing context around an existing registry (the bridge the
-    /// `set_injection` compatibility shims use).
-    pub fn with_registry(registry: InjectionRegistry) -> CrossingContext {
-        CrossingContext::with_enabled(registry, true)
-    }
-
-    /// Whether this context records crossings.
-    pub fn is_enabled(&self) -> bool {
-        self.state.lock().enabled
-    }
-
     /// Arms one fault in the underlying registry.
     pub fn arm(&self, spec: FaultSpec) {
         self.registry.arm(spec);

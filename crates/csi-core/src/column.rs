@@ -595,6 +595,36 @@ impl ValueColumn {
     }
 }
 
+/// Transposes rows into one column per entry of `types` — the row API's
+/// way onto the columnar plane. `Err` carries the length of the first row
+/// whose arity differs from `types.len()`.
+pub fn columns_from_rows(
+    types: &[DataType],
+    rows: &[Vec<Value>],
+) -> Result<Vec<ValueColumn>, usize> {
+    let mut cols: Vec<ValueColumn> = types
+        .iter()
+        .map(|ty| ValueColumn::with_capacity(ty, rows.len()))
+        .collect();
+    for row in rows {
+        if row.len() != types.len() {
+            return Err(row.len());
+        }
+        for (col, v) in cols.iter_mut().zip(row) {
+            col.push(v);
+        }
+    }
+    Ok(cols)
+}
+
+/// Transposes columns back into rows; the row count is the first column's.
+pub fn rows_from_columns(cols: &[ValueColumn]) -> Vec<Vec<Value>> {
+    let nrows = cols.first().map_or(0, ValueColumn::len);
+    (0..nrows)
+        .map(|i| cols.iter().map(|c| c.get(i)).collect())
+        .collect()
+}
+
 fn hash_ints<T, F: Fn(&T) -> i64>(h: &mut Fnv, tag: &[u8], v: &[T], validity: &Validity, f: F) {
     h.words(tag);
     for (i, x) in v.iter().enumerate() {
@@ -746,6 +776,22 @@ mod tests {
         );
         assert!(!a.canonical_eq(&b));
         assert_ne!(a.fingerprint(), b.fingerprint());
+    }
+
+    #[test]
+    fn transposition_round_trips_and_checks_arity() {
+        let types = [DataType::Int, DataType::String];
+        let rows = vec![
+            vec![Value::Int(1), Value::Str("a".into())],
+            vec![Value::Null, Value::Str("b".into())],
+        ];
+        let cols = columns_from_rows(&types, &rows).unwrap();
+        assert!(matches!(cols[0].values(), ColumnValues::Int(_)));
+        assert_eq!(rows_from_columns(&cols), rows);
+        assert_eq!(
+            columns_from_rows(&types, &[vec![Value::Int(1)]]).unwrap_err(),
+            1
+        );
     }
 
     #[test]

@@ -230,18 +230,6 @@ impl DetectorSpec {
         }
     }
 
-    /// Replaces the baselines.
-    pub fn with_baselines(mut self, baselines: Arc<BaselineSet>) -> DetectorSpec {
-        self.baselines = baselines;
-        self
-    }
-
-    /// Attaches a streaming detection tap.
-    pub fn with_tap(mut self, tap: DetectionTap) -> DetectorSpec {
-        self.tap = Some(tap);
-        self
-    }
-
     /// Builds a detector from this spec.
     pub fn build(&self) -> OnlineDetector {
         OnlineDetector::from_spec(self.clone())

@@ -12,7 +12,8 @@
 //! `3L`, `1.5BD`), hex binaries (`X'CAFE'`), `CAST(expr AS type)`, and the
 //! constructors `ARRAY(...)`, `MAP(...)`, `NAMED_STRUCT(...)`.
 
-use crate::value::{DataType, StructField};
+use crate::column::ValueColumn;
+use crate::value::{compare_values, DataType, StructField, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -270,6 +271,28 @@ pub struct Comparison {
     pub op: CmpOp,
     /// Right-hand literal.
     pub literal: Expr,
+}
+
+/// Evaluates a resolved `SELECT` over a table's columns: keeps the rows
+/// that match every `(column, op, literal)` filter, in table order, and
+/// builds only the projected cells. A projection may repeat a column.
+///
+/// Name resolution and literal casting stay with each dialect; this is the
+/// dialect-neutral filter and projection loop both share.
+pub fn select_rows(
+    cols: &[ValueColumn],
+    filters: &[(usize, CmpOp, Value)],
+    projection: &[usize],
+) -> Vec<Vec<Value>> {
+    let nrows = cols.first().map_or(0, ValueColumn::len);
+    (0..nrows)
+        .filter(|&row| {
+            filters
+                .iter()
+                .all(|(c, op, lit)| op.matches(compare_values(&cols[*c].get(row), lit)))
+        })
+        .map(|row| projection.iter().map(|&c| cols[c].get(row)).collect())
+        .collect()
 }
 
 /// A parsed statement.
@@ -936,6 +959,38 @@ pub fn quote_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn select_rows_filters_in_order_and_repeats_projections() {
+        let a = ValueColumn::from_values(
+            &DataType::Int,
+            &[Value::Int(1), Value::Null, Value::Int(3), Value::Int(2)],
+        );
+        let b = ValueColumn::from_values(
+            &DataType::String,
+            &[
+                Value::Str("x".into()),
+                Value::Str("y".into()),
+                Value::Str("z".into()),
+                Value::Null,
+            ],
+        );
+        let cols = [a, b];
+        // NULL never matches; surviving rows keep table order.
+        let rows = select_rows(&cols, &[(0, CmpOp::Gt, Value::Int(1))], &[1, 0, 1]);
+        assert_eq!(
+            rows,
+            vec![
+                vec![
+                    Value::Str("z".into()),
+                    Value::Int(3),
+                    Value::Str("z".into())
+                ],
+                vec![Value::Null, Value::Int(2), Value::Null],
+            ]
+        );
+        assert_eq!(select_rows(&cols, &[], &[0]).len(), 4);
+    }
 
     #[test]
     fn parses_create_table() {

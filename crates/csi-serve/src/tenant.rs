@@ -22,7 +22,7 @@
 
 use csi_core::hash::fnv1a;
 use minihdfs::{HdfsPath, MiniHdfs};
-use minihive::metastore::Metastore;
+use minihive::metastore::{lock_warehouse, Metastore};
 use parking_lot::Mutex;
 
 /// The shared control-plane substrate, partitioned per tenant.
@@ -150,8 +150,7 @@ impl TenantRegistry {
     /// dropped, its subtree deleted recursively, freed blocks vacuumed.
     pub fn evict(&self, tenant: &str) -> Result<(), String> {
         let db = TenantRegistry::database(tenant);
-        let mut metastore = self.metastore.lock();
-        let mut fs = self.fs.lock();
+        let (mut fs, mut metastore) = lock_warehouse(&self.fs, &self.metastore);
         let tables: Vec<String> = metastore
             .list_tables(&db)
             .map(|names| names.into_iter().map(str::to_string).collect())

@@ -217,7 +217,7 @@ pub fn small_fault_catalogue(seed: u64) -> FaultPlan {
 #[derive(Debug, Clone)]
 pub struct FaultMatrixConfig {
     /// Seed recorded in the report (and used to derive the catalogue when
-    /// built through [`FaultMatrixConfig::standard`]).
+    /// built through [`FaultMatrixConfig::smoke`]).
     pub seed: u64,
     /// Experiments whose (plan × format) cross probes metastore and HDFS
     /// faults.
@@ -241,19 +241,6 @@ pub struct FaultMatrixConfig {
 }
 
 impl FaultMatrixConfig {
-    /// The standard campaign: the full catalogue against the full
-    /// experiment × format cross.
-    pub fn standard(seed: u64) -> FaultMatrixConfig {
-        FaultMatrixConfig {
-            seed,
-            experiments: Experiment::ALL.to_vec(),
-            formats: StorageFormat::ALL.to_vec(),
-            faults: fault_catalogue(seed),
-            detect: None,
-            tap: None,
-        }
-    }
-
     /// The smoke campaign: the small catalogue against one experiment and
     /// one format, cheap enough for CI and property tests.
     pub fn smoke(seed: u64) -> FaultMatrixConfig {
@@ -265,12 +252,6 @@ impl FaultMatrixConfig {
             detect: None,
             tap: None,
         }
-    }
-
-    /// Enables online detection with default thresholds.
-    pub fn with_detection(mut self) -> FaultMatrixConfig {
-        self.detect = Some(DetectorConfig::default());
-        self
     }
 }
 

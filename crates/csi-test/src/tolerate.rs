@@ -111,7 +111,7 @@ pub fn redundant_read_traced(
 mod tests {
     use super::*;
     use csi_core::diag::DiagSink;
-    use csi_core::fault::{Channel, FaultKind, FaultSpec, InjectionRegistry, Trigger};
+    use csi_core::fault::{Channel, FaultKind, FaultSpec, Trigger};
     use csi_core::value::{DataType, Decimal, StructField};
     use minihdfs::MiniHdfs;
     use minihive::metastore::{Metastore, StorageFormat};
@@ -249,17 +249,17 @@ mod tests {
         let (spark, hive, ms, _fs) = injectable_deployment();
         spark.sql("CREATE TABLE t (a INT)").unwrap();
         spark.sql("INSERT INTO t VALUES (7)").unwrap();
-        let reg = InjectionRegistry::new();
-        reg.arm(fault(
+        let ctx = CrossingContext::new();
+        ctx.arm(fault(
             Channel::Metastore,
             "get_table",
             FaultKind::Unavailable,
             Trigger::Always,
         ));
-        ms.lock().set_injection(reg.clone());
+        ms.lock().set_crossing(ctx.clone());
         let err = redundant_read(&spark, &hive, "t").unwrap_err();
         assert_eq!(err.code, "HIVE_METASTORE");
-        assert!(!reg.fired().is_empty());
+        assert!(!ctx.fired().is_empty());
     }
 
     #[test]
@@ -276,14 +276,14 @@ mod tests {
         )
         .unwrap();
         df.insert_into("t", &[vec![Value::Int(7)]]).unwrap();
-        let reg = InjectionRegistry::new();
-        reg.arm(fault(
+        let ctx = CrossingContext::new();
+        ctx.arm(fault(
             Channel::Hdfs,
             "read",
             FaultKind::CorruptPayload,
             Trigger::OnCall(0),
         ));
-        fs.lock().set_injection(reg.clone());
+        fs.lock().set_crossing(ctx.clone());
         let r = redundant_read(&spark, &hive, "t").unwrap();
         assert_eq!(r.path, ReadPath::HiveFallback);
         assert_eq!(r.rows, vec![vec![Value::Int(7)]]);
@@ -296,7 +296,7 @@ mod tests {
             "fallback fired on a non-discrepancy error: {}",
             primary.code
         );
-        assert_eq!(reg.fired().len(), 1);
+        assert_eq!(ctx.fired().len(), 1);
     }
 
     #[test]
@@ -307,16 +307,16 @@ mod tests {
         let (spark, hive, _ms, fs) = injectable_deployment();
         spark.sql("CREATE TABLE t (a INT)").unwrap();
         spark.sql("INSERT INTO t VALUES (7)").unwrap();
-        let reg = InjectionRegistry::new();
-        reg.arm(fault(
+        let ctx = CrossingContext::new();
+        ctx.arm(fault(
             Channel::Hdfs,
             "read",
             FaultKind::Unavailable,
             Trigger::Always,
         ));
-        fs.lock().set_injection(reg.clone());
+        fs.lock().set_crossing(ctx.clone());
         let err = redundant_read(&spark, &hive, "t").unwrap_err();
         assert_eq!(err.code, "HDFS");
-        assert!(!reg.fired().is_empty());
+        assert!(!ctx.fired().is_empty());
     }
 }

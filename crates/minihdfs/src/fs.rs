@@ -23,7 +23,7 @@ use crate::path::HdfsPath;
 use crate::token::{DelegationToken, TokenCheck, TokenId, TokenRegistry};
 use bytes::Bytes;
 use csi_core::boundary::{BoundaryCall, CrossingContext};
-use csi_core::fault::{Channel, FaultKind, FaultPoint, InjectionRegistry};
+use csi_core::fault::{Channel, FaultKind, FaultPoint};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -208,13 +208,6 @@ impl MiniHdfs {
             next_block_id: 0,
             crossing: None,
         }
-    }
-
-    /// Attaches a fault-injection registry by wrapping it in a tracing
-    /// [`CrossingContext`]; the public file-operation entry points route
-    /// through it.
-    pub fn set_injection(&mut self, registry: InjectionRegistry) {
-        self.set_crossing(CrossingContext::with_registry(registry));
     }
 
     /// Attaches the deployment's crossing context; every file-operation

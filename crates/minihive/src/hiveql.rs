@@ -7,7 +7,7 @@
 //! lowercase column and struct-field names.
 
 use crate::error::HiveError;
-use crate::metastore::{Metastore, SharedFs, StorageFormat, TableDef};
+use crate::metastore::{lock_warehouse, Metastore, SharedFs, StorageFormat, TableDef};
 use crate::serde_layer;
 use crate::types::HiveType;
 use crate::value::{coerce, render, MAX_DATE_DAYS, MIN_DATE_DAYS};
@@ -120,10 +120,8 @@ impl HiveQl {
     }
 
     fn drop_table(&self, name: &str, if_exists: bool) -> Result<QueryResult, HiveError> {
-        let mut fs = self.fs.lock();
-        self.metastore
-            .lock()
-            .drop_table("default", name, if_exists, &mut fs)?;
+        let (mut fs, mut ms) = lock_warehouse(&self.fs, &self.metastore);
+        ms.drop_table("default", name, if_exists, &mut fs)?;
         Ok(QueryResult::default())
     }
 
@@ -195,12 +193,20 @@ impl HiveQl {
             .map_err(|e| HiveError::Storage(e.to_string()))
     }
 
-    /// Bulk `SELECT *` over column buffers — the columnar counterpart of
-    /// [`HiveQl::read_all`] behind the SELECT path.
+    /// Bulk `SELECT *` over column buffers.
     pub fn read_table_columns(&self, table: &str) -> Result<Vec<ValueColumn>, HiveError> {
         let def = self.metastore.lock().get_table("default", table)?.clone();
-        let fs = self.fs.lock();
-        let files = self.metastore.lock().table_data_files(&def, &fs)?;
+        self.read_columns(&def)
+    }
+
+    /// Reads every data file of a table, in path order, into column
+    /// buffers — the one read path behind `SELECT` and
+    /// [`HiveQl::read_table_columns`]. Each file is read only after the
+    /// previous one decoded.
+    fn read_columns(&self, def: &TableDef) -> Result<Vec<ValueColumn>, HiveError> {
+        let (fs, ms) = lock_warehouse(&self.fs, &self.metastore);
+        let files = ms.table_data_files(def, &fs)?;
+        drop(ms);
         let mut acc: Option<Vec<ValueColumn>> = None;
         for path in files {
             let bytes = fs
@@ -231,89 +237,33 @@ impl HiveQl {
         predicate: &[csi_core::sql::Comparison],
     ) -> Result<QueryResult, HiveError> {
         let def = self.metastore.lock().get_table("default", table)?.clone();
-        let mut rows = self.read_all(&def)?;
-        if !predicate.is_empty() {
-            // Hive evaluates each comparison after leniently coercing the
-            // literal to the column's type; unknown comparisons drop rows.
-            let mut compiled = Vec::with_capacity(predicate.len());
-            for cmp in predicate {
-                let idx =
-                    def.column_index(&cmp.column)
-                        .ok_or_else(|| HiveError::UnknownColumn {
-                            table: def.name.clone(),
-                            column: cmp.column.clone(),
-                        })?;
-                let raw = self.eval(&cmp.literal)?;
-                let coerced = coerce(&raw, &def.columns[idx].hive_type, &self.diag)?;
-                compiled.push((idx, cmp.op, coerced));
-            }
-            rows.retain(|row| {
-                compiled.iter().all(|(idx, op, lit)| {
-                    op.matches(csi_core::value::compare_values(&row[*idx], lit))
+        let cols = self.read_columns(&def)?;
+        let resolve = |column: &str| {
+            def.column_index(column)
+                .ok_or_else(|| HiveError::UnknownColumn {
+                    table: def.name.clone(),
+                    column: column.to_string(),
                 })
-            });
+        };
+        // Hive evaluates each comparison after leniently coercing the
+        // literal to the column's type; unknown comparisons drop rows.
+        let mut filters = Vec::with_capacity(predicate.len());
+        for cmp in predicate {
+            let idx = resolve(&cmp.column)?;
+            let raw = self.eval(&cmp.literal)?;
+            let lit = coerce(&raw, &def.columns[idx].hive_type, &self.diag)?;
+            filters.push((idx, cmp.op, lit));
         }
-        match columns {
-            SelectCols::Star => Ok(QueryResult {
-                columns: def.columns.iter().map(|c| c.name.clone()).collect(),
-                rows,
-            }),
+        let idx: Vec<usize> = match columns {
+            SelectCols::Star => (0..def.columns.len()).collect(),
             SelectCols::Columns(names) => {
-                let mut idx = Vec::with_capacity(names.len());
-                for n in &names {
-                    idx.push(
-                        def.column_index(n)
-                            .ok_or_else(|| HiveError::UnknownColumn {
-                                table: def.name.clone(),
-                                column: n.clone(),
-                            })?,
-                    );
-                }
-                // Distinct indices let each projected cell be *moved* out of
-                // its row instead of deep-cloned — the hot path for wide
-                // string columns. Duplicate projections ("SELECT a, a")
-                // fall back to cloning.
-                let distinct = idx
-                    .iter()
-                    .all(|i| idx.iter().filter(|j| *j == i).count() == 1);
-                let projected = rows
-                    .into_iter()
-                    .map(|mut r| {
-                        idx.iter()
-                            .map(|i| {
-                                if distinct {
-                                    std::mem::replace(&mut r[*i], Value::Null)
-                                } else {
-                                    r[*i].clone()
-                                }
-                            })
-                            .collect()
-                    })
-                    .collect();
-                Ok(QueryResult {
-                    columns: idx.iter().map(|i| def.columns[*i].name.clone()).collect(),
-                    rows: projected,
-                })
+                names.iter().map(|n| resolve(n)).collect::<Result<_, _>>()?
             }
-        }
-    }
-
-    fn read_all(&self, def: &TableDef) -> Result<Vec<Vec<Value>>, HiveError> {
-        let fs = self.fs.lock();
-        let files = self.metastore.lock().table_data_files(def, &fs)?;
-        let mut rows = Vec::new();
-        for path in files {
-            let bytes = fs
-                .read(&path)
-                .map_err(|e| HiveError::Storage(e.to_string()))?;
-            rows.extend(serde_layer::read_file(
-                def.format,
-                &def.columns,
-                &bytes,
-                &self.diag,
-            )?);
-        }
-        Ok(rows)
+        };
+        Ok(QueryResult {
+            columns: idx.iter().map(|i| def.columns[*i].name.clone()).collect(),
+            rows: sql::select_rows(&cols, &filters, &idx),
+        })
     }
 
     /// Evaluates a literal expression under Hive's typing rules.

@@ -9,15 +9,28 @@
 use crate::error::HiveError;
 use crate::types::HiveType;
 use csi_core::boundary::{BoundaryCall, CrossingContext};
-use csi_core::fault::{Channel, InjectionRegistry};
+use csi_core::fault::Channel;
 use minihdfs::{HdfsPath, MiniHdfs};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard};
 
 /// The warehouse file system shared between Hive and its upstreams.
 pub type SharedFs = Arc<Mutex<MiniHdfs>>;
+
+/// Locks the warehouse filesystem, then the metastore: the one lock order
+/// every engine and service uses when an operation needs both (listing a
+/// table's data files, dropping a table with its data). Code that needs
+/// only one of them takes that one alone and never holds it while locking
+/// the other, so no two threads can wait on each other across the pair.
+pub fn lock_warehouse<'a>(
+    fs: &'a Mutex<MiniHdfs>,
+    metastore: &'a Mutex<Metastore>,
+) -> (MutexGuard<'a, MiniHdfs>, MutexGuard<'a, Metastore>) {
+    let fs = fs.lock();
+    (fs, metastore.lock())
+}
 
 /// Storage format of a table.
 ///
@@ -132,13 +145,6 @@ impl Metastore {
             next_part: 0,
             crossing: None,
         }
-    }
-
-    /// Attaches a fault-injection registry by wrapping it in a tracing
-    /// [`CrossingContext`]; every metastore RPC entry point routes through
-    /// it.
-    pub fn set_injection(&mut self, registry: InjectionRegistry) {
-        self.set_crossing(CrossingContext::with_registry(registry));
     }
 
     /// Attaches the deployment's crossing context; every metastore RPC

@@ -22,7 +22,7 @@
 use crate::error::HiveError;
 use crate::metastore::{ColumnDef, StorageFormat};
 use crate::types::HiveType;
-use csi_core::column::{ColumnValues, Validity, ValueColumn};
+use csi_core::column::{columns_from_rows, rows_from_columns, ColumnValues, Validity, ValueColumn};
 use csi_core::diag::DiagHandle;
 use csi_core::value::{parse_date, Decimal, Value};
 use miniformats::batch::{Bitmap, Column as BatchColumn, ColumnData, RecordBatch, VarBuffer};
@@ -115,21 +115,11 @@ pub fn write_file(
     rows: &[Vec<Value>],
     diag: &DiagHandle,
 ) -> Result<Vec<u8>, HiveError> {
-    let mut cols: Vec<ValueColumn> = columns
-        .iter()
-        .map(|c| ValueColumn::with_capacity(&c.hive_type.to_data_type(), rows.len()))
-        .collect();
-    for row in rows {
-        if row.len() != columns.len() {
-            return Err(HiveError::Arity {
-                expected: columns.len(),
-                got: row.len(),
-            });
-        }
-        for (col, v) in cols.iter_mut().zip(row) {
-            col.push(v);
-        }
-    }
+    let types: Vec<_> = columns.iter().map(|c| c.hive_type.to_data_type()).collect();
+    let cols = columns_from_rows(&types, rows).map_err(|got| HiveError::Arity {
+        expected: columns.len(),
+        got,
+    })?;
     write_columns(format, columns, &cols, diag)
 }
 
@@ -463,13 +453,9 @@ pub fn read_file(
     bytes: &[u8],
     diag: &DiagHandle,
 ) -> Result<Vec<Vec<Value>>, HiveError> {
-    let cols = read_columns(format, columns, bytes, diag)?;
-    let nrows = cols.first().map_or(0, ValueColumn::len);
-    let mut out = Vec::with_capacity(nrows);
-    for i in 0..nrows {
-        out.push(cols.iter().map(|c| c.get(i)).collect());
-    }
-    Ok(out)
+    Ok(rows_from_columns(&read_columns(
+        format, columns, bytes, diag,
+    )?))
 }
 
 /// Deserializes typed column buffers directly — the bulk read hot path.

@@ -12,7 +12,7 @@
 use crate::error::KafkaError;
 use bytes::Bytes;
 use csi_core::boundary::{BoundaryCall, CrossingContext};
-use csi_core::fault::{Channel, InjectionRegistry};
+use csi_core::fault::Channel;
 use csi_core::intern::{NameTable, Sym};
 use std::collections::HashMap;
 
@@ -150,12 +150,6 @@ impl MiniKafka {
     /// Creates an empty broker.
     pub fn new() -> MiniKafka {
         MiniKafka::default()
-    }
-
-    /// Attaches a fault-injection registry by wrapping it in a tracing
-    /// [`CrossingContext`]; broker request entry points route through it.
-    pub fn set_injection(&mut self, registry: InjectionRegistry) {
-        self.set_crossing(CrossingContext::with_registry(registry));
     }
 
     /// Attaches the deployment's crossing context; every broker request

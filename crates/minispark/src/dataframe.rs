@@ -12,7 +12,7 @@ use crate::config::StoreAssignmentPolicy;
 use crate::error::SparkError;
 use crate::session::{DdlPath, SparkSession};
 use crate::types::{store_assign, CastOptions};
-use csi_core::column::{ColumnValues, ValueColumn};
+use csi_core::column::{rows_from_columns, ColumnValues, ValueColumn};
 use csi_core::value::{DataType, StructField, Value};
 use minihive::metastore::StorageFormat;
 
@@ -117,8 +117,8 @@ impl<'a> DataFrameApi<'a> {
         self.session.write_columns(&def, &schema, &cast_cols)
     }
 
-    /// `spark.table(name).collect()` over column buffers — the bulk
-    /// counterpart of [`DataFrameApi::read_table`].
+    /// `spark.table(name).collect()` over column buffers — the one read
+    /// path; [`DataFrameApi::read_table`] transposes its result.
     pub fn read_table_columns(
         &self,
         name: &str,
@@ -140,18 +140,8 @@ impl<'a> DataFrameApi<'a> {
         &self,
         name: &str,
     ) -> Result<(Vec<StructField>, Vec<Vec<Value>>), SparkError> {
-        let def = self.session.table_def(name)?;
-        let schema = self.session.resolve_schema(&def);
-        let mut rows = self.session.read_rows(&def, &schema)?;
-        if !self.session.config.char_varchar_as_string() {
-            // The DataFrame reader trims CHAR padding (D13's upstream half).
-            for row in &mut rows {
-                for (field, v) in schema.iter().zip(row.iter_mut()) {
-                    trim_char(&field.data_type, v);
-                }
-            }
-        }
-        Ok((schema, rows))
+        let (schema, cols) = self.read_table_columns(name)?;
+        Ok((schema, rows_from_columns(&cols)))
     }
 }
 
@@ -181,8 +171,8 @@ fn column_passes_through(ty: &DataType, col: &ValueColumn, opts: CastOptions) ->
     }
 }
 
-/// Columnar counterpart of [`trim_char`]: drops trailing blanks from CHAR
-/// string buffers in place, recursing into `Mixed` lanes for nested types.
+/// Drops trailing blanks from CHAR string buffers in place, recursing
+/// into `Mixed` lanes (nested types) cell by cell through [`trim_char`].
 fn trim_char_column(ty: &DataType, col: &mut ValueColumn) {
     match (ty, col.values_mut()) {
         (DataType::Char(_), ColumnValues::Str { offsets, bytes }) => {
@@ -373,21 +363,12 @@ mod tests {
             vec![Value::Null, Value::Long(-1), Value::Null],
         ];
         df.insert_into("rows", &rows).unwrap();
-        let cols: Vec<ValueColumn> = schema
-            .iter()
-            .enumerate()
-            .map(|(i, f)| {
-                let cells: Vec<Value> = rows.iter().map(|r| r[i].clone()).collect();
-                ValueColumn::from_values(&f.data_type, &cells)
-            })
-            .collect();
+        let types: Vec<DataType> = schema.iter().map(|f| f.data_type.clone()).collect();
+        let cols = csi_core::column::columns_from_rows(&types, &rows).unwrap();
         df.insert_columns("cols", &cols).unwrap();
         let (_, row_read) = df.read_table("rows").unwrap();
         let (_, col_read) = df.read_table_columns("cols").unwrap();
-        for (i, col) in col_read.iter().enumerate() {
-            let transposed: Vec<Value> = row_read.iter().map(|r| r[i].clone()).collect();
-            assert_eq!(col.to_values(), transposed, "column {i}");
-        }
+        assert_eq!(rows_from_columns(&col_read), row_read);
     }
 
     #[test]

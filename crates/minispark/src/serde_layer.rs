@@ -20,7 +20,7 @@
 
 use crate::config::SparkConfig;
 use crate::error::SparkError;
-use csi_core::column::{ColumnValues, Validity, ValueColumn};
+use csi_core::column::{columns_from_rows, rows_from_columns, ColumnValues, Validity, ValueColumn};
 use csi_core::value::{DataType, Decimal, StructField, Value};
 use miniformats::batch::{Bitmap, Column as BatchColumn, ColumnData, RecordBatch, VarBuffer};
 use miniformats::physical::{FileSchema, PhysicalColumn, PhysicalType, PhysicalValue};
@@ -91,22 +91,20 @@ pub fn write_file(
     rows: &[Vec<Value>],
     config: &SparkConfig,
 ) -> Result<Vec<u8>, SparkError> {
-    let mut cols: Vec<ValueColumn> = schema
-        .iter()
-        .map(|f| ValueColumn::with_capacity(&f.data_type, rows.len()))
-        .collect();
-    for row in rows {
-        if row.len() != schema.len() {
-            return Err(SparkError::Arity {
-                expected: schema.len(),
-                got: row.len(),
-            });
-        }
-        for (col, v) in cols.iter_mut().zip(row) {
-            col.push(v);
-        }
-    }
-    write_columns(format, schema, &cols, config)
+    write_columns(format, schema, &schema_columns(schema, rows)?, config)
+}
+
+/// Transposes rows into one column per schema field, rejecting a row of
+/// the wrong arity.
+pub(crate) fn schema_columns(
+    schema: &[StructField],
+    rows: &[Vec<Value>],
+) -> Result<Vec<ValueColumn>, SparkError> {
+    let types: Vec<DataType> = schema.iter().map(|f| f.data_type.clone()).collect();
+    columns_from_rows(&types, rows).map_err(|got| SparkError::Arity {
+        expected: schema.len(),
+        got,
+    })
 }
 
 /// The retained row-at-a-time serializer: the pre-columnar baseline, kept
@@ -367,13 +365,9 @@ pub fn read_file(
     bytes: &[u8],
     config: &SparkConfig,
 ) -> Result<Vec<Vec<Value>>, SparkError> {
-    let cols = read_columns(format, schema, bytes, config)?;
-    let nrows = cols.first().map_or(0, ValueColumn::len);
-    let mut out = Vec::with_capacity(nrows);
-    for i in 0..nrows {
-        out.push(cols.iter().map(|c| c.get(i)).collect());
-    }
-    Ok(out)
+    Ok(rows_from_columns(&read_columns(
+        format, schema, bytes, config,
+    )?))
 }
 
 /// Deserializes typed column buffers directly — the bulk read hot path.

@@ -17,7 +17,7 @@ use csi_core::column::ValueColumn;
 use csi_core::diag::DiagHandle;
 use csi_core::value::{DataType, StructField, Value};
 use minihive::hiveql::SharedMetastore;
-use minihive::metastore::{SharedFs, StorageFormat, TableDef};
+use minihive::metastore::{lock_warehouse, SharedFs, StorageFormat, TableDef};
 use minihive::HiveType;
 
 /// Table property under which Spark stores its case-preserving schema.
@@ -131,10 +131,11 @@ impl SparkSession {
                 ),
             );
         }
-        {
+        let location = {
             let mut ms = self.metastore.lock();
-            let def = ms
+            let location = ms
                 .create_table("default", name, hive_columns, format, if_not_exists)?
+                .location
                 .clone();
             if save_property {
                 ms.set_table_property(
@@ -144,15 +145,17 @@ impl SparkSession {
                     &schema_to_property(&stored_schema),
                 )?;
             }
-            self.fs
-                .lock()
-                .mkdirs(&def.location)
-                .map_err(|e| SparkError::Connector {
-                    code: "HDFS",
-                    message: e.to_string(),
-                })?;
-        }
-        Ok(())
+            location
+        };
+        // The metastore guard is released before the filesystem is locked:
+        // only `lock_warehouse` ever holds both.
+        self.fs
+            .lock()
+            .mkdirs(&location)
+            .map_err(|e| SparkError::Connector {
+                code: "HDFS",
+                message: e.to_string(),
+            })
     }
 
     /// How a Spark type appears in (hive-DDL type, spark-stored type) form.
@@ -203,27 +206,19 @@ impl SparkSession {
             .collect()
     }
 
-    /// Appends already-cast rows to a table through Spark's serializers.
+    /// Appends already-cast rows to a table through Spark's serializers:
+    /// the rows are transposed and written by [`SparkSession::write_columns`].
     pub fn write_rows(
         &self,
         def: &TableDef,
         schema: &[StructField],
         rows: &[Vec<Value>],
     ) -> Result<(), SparkError> {
-        let bytes = serde_layer::write_file(def.format, schema, rows, &self.config)?;
-        let part = self.metastore.lock().next_part_path(def);
-        self.fs
-            .lock()
-            .create(&part, &bytes)
-            .map_err(|e| SparkError::Connector {
-                code: "HDFS",
-                message: e.to_string(),
-            })
+        self.write_columns(def, schema, &serde_layer::schema_columns(schema, rows)?)
     }
 
     /// Appends already-cast column buffers to a table through Spark's
-    /// serializers — the bulk counterpart of [`SparkSession::write_rows`],
-    /// with no per-cell enum traffic on flat columns.
+    /// serializers, with no per-cell enum traffic on flat columns.
     pub fn write_columns(
         &self,
         def: &TableDef,
@@ -241,20 +236,18 @@ impl SparkSession {
             })
     }
 
-    /// Reads all rows of a table as column buffers — the bulk counterpart
-    /// of [`SparkSession::read_rows`]. Multiple data files concatenate
-    /// column-wise in path order.
+    /// Reads all rows of a table as column buffers — the one read path
+    /// behind SparkSQL `SELECT` and the DataFrame reader. Multiple data
+    /// files concatenate column-wise in path order; each file is read only
+    /// after the previous one decoded.
     pub fn read_columns(
         &self,
         def: &TableDef,
         schema: &[StructField],
     ) -> Result<Vec<ValueColumn>, SparkError> {
-        let fs = self.fs.lock();
-        let files = self
-            .metastore
-            .lock()
-            .table_data_files(def, &fs)
-            .map_err(SparkError::from)?;
+        let (fs, ms) = lock_warehouse(&self.fs, &self.metastore);
+        let files = ms.table_data_files(def, &fs).map_err(SparkError::from)?;
+        drop(ms);
         let mut out: Option<Vec<ValueColumn>> = None;
         for path in files {
             let bytes = fs.read(&path).map_err(|e| SparkError::Connector {
@@ -279,40 +272,10 @@ impl SparkSession {
         }))
     }
 
-    /// Reads all rows of a table through Spark's deserializers.
-    pub fn read_rows(
-        &self,
-        def: &TableDef,
-        schema: &[StructField],
-    ) -> Result<Vec<Vec<Value>>, SparkError> {
-        let fs = self.fs.lock();
-        let files = self
-            .metastore
-            .lock()
-            .table_data_files(def, &fs)
-            .map_err(SparkError::from)?;
-        let mut rows = Vec::new();
-        for path in files {
-            let bytes = fs.read(&path).map_err(|e| SparkError::Connector {
-                code: "HDFS",
-                message: e.to_string(),
-            })?;
-            rows.extend(serde_layer::read_file(
-                def.format,
-                schema,
-                &bytes,
-                &self.config,
-            )?);
-        }
-        Ok(rows)
-    }
-
     /// Drops a table.
     pub fn drop_table(&self, name: &str, if_exists: bool) -> Result<(), SparkError> {
-        let mut fs = self.fs.lock();
-        self.metastore
-            .lock()
-            .drop_table("default", name, if_exists, &mut fs)
+        let (mut fs, mut ms) = lock_warehouse(&self.fs, &self.metastore);
+        ms.drop_table("default", name, if_exists, &mut fs)
             .map_err(SparkError::from)
     }
 }
@@ -417,8 +380,8 @@ mod tests {
         let resolved = s.resolve_schema(&def);
         s.write_rows(&def, &resolved, &[vec![Value::Int(1)], vec![Value::Int(2)]])
             .unwrap();
-        let rows = s.read_rows(&def, &resolved).unwrap();
-        assert_eq!(rows, vec![vec![Value::Int(1)], vec![Value::Int(2)]]);
+        let cols = s.read_columns(&def, &resolved).unwrap();
+        assert_eq!(cols[0].to_values(), vec![Value::Int(1), Value::Int(2)]);
         s.drop_table("t", false).unwrap();
         assert!(s.table_def("t").is_err());
     }

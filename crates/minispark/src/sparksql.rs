@@ -112,83 +112,28 @@ impl<'a> SparkSql<'a> {
             } => {
                 let def = self.session.table_def(&table)?;
                 let schema = self.session.resolve_schema(&def);
-                let mut rows = self.session.read_rows(&def, &schema)?;
-                if !predicate.is_empty() {
-                    // Spark casts the literal to the column type under the
-                    // active store-assignment policy (ANSI raises on bad
-                    // literals where Hive would coerce).
-                    let opts = self.cast_options();
-                    let mut compiled = Vec::with_capacity(predicate.len());
-                    for cmp in &predicate {
-                        let idx = schema
-                            .iter()
-                            .position(|f| f.name.eq_ignore_ascii_case(&cmp.column))
-                            .ok_or_else(|| {
-                                SparkError::analysis(
-                                    "UNRESOLVED_COLUMN",
-                                    format!("cannot resolve column {:?}", cmp.column),
-                                )
-                            })?;
-                        let raw = self.eval(&cmp.literal)?;
-                        let lit = store_assign(&raw, &schema[idx].data_type, opts)?;
-                        compiled.push((idx, cmp.op, lit));
-                    }
-                    rows.retain(|row| {
-                        compiled.iter().all(|(idx, op, lit)| {
-                            op.matches(csi_core::value::compare_values(&row[*idx], lit))
-                        })
-                    });
+                let cols = self.session.read_columns(&def, &schema)?;
+                // Spark casts the literal to the column type under the
+                // active store-assignment policy (ANSI raises on bad
+                // literals where Hive would coerce).
+                let opts = self.cast_options();
+                let mut filters = Vec::with_capacity(predicate.len());
+                for cmp in &predicate {
+                    let idx = resolve(&schema, &cmp.column)?;
+                    let raw = self.eval(&cmp.literal)?;
+                    let lit = store_assign(&raw, &schema[idx].data_type, opts)?;
+                    filters.push((idx, cmp.op, lit));
                 }
-                let (names, idx): (Vec<String>, Vec<usize>) = match columns {
-                    SelectCols::Star => (
-                        schema.iter().map(|f| f.name.clone()).collect(),
-                        (0..schema.len()).collect(),
-                    ),
-                    SelectCols::Columns(cols) => {
-                        let mut names = Vec::new();
-                        let mut idx = Vec::new();
-                        for c in cols {
-                            // Spark's analyzer is case-insensitive by
-                            // default but reports the schema's own name.
-                            let i = schema
-                                .iter()
-                                .position(|f| f.name.eq_ignore_ascii_case(&c))
-                                .ok_or_else(|| {
-                                    SparkError::analysis(
-                                        "UNRESOLVED_COLUMN",
-                                        format!("cannot resolve column {c:?}"),
-                                    )
-                                })?;
-                            names.push(schema[i].name.clone());
-                            idx.push(i);
-                        }
-                        (names, idx)
-                    }
+                let idx: Vec<usize> = match columns {
+                    SelectCols::Star => (0..schema.len()).collect(),
+                    SelectCols::Columns(names) => names
+                        .iter()
+                        .map(|c| resolve(&schema, c))
+                        .collect::<Result<_, _>>()?,
                 };
-                // Distinct indices let each projected cell be *moved* out of
-                // its row instead of deep-cloned — the hot path for wide
-                // string columns. Duplicate projections ("SELECT a, a")
-                // fall back to cloning.
-                let distinct = idx
-                    .iter()
-                    .all(|i| idx.iter().filter(|j| *j == i).count() == 1);
-                let projected = rows
-                    .into_iter()
-                    .map(|mut r| {
-                        idx.iter()
-                            .map(|i| {
-                                if distinct {
-                                    std::mem::replace(&mut r[*i], Value::Null)
-                                } else {
-                                    r[*i].clone()
-                                }
-                            })
-                            .collect()
-                    })
-                    .collect();
                 Ok(SqlResult {
-                    columns: names,
-                    rows: projected,
+                    columns: idx.iter().map(|i| schema[*i].name.clone()).collect(),
+                    rows: sql::select_rows(&cols, &filters, &idx),
                 })
             }
         }
@@ -307,6 +252,20 @@ impl<'a> SparkSql<'a> {
             },
         })
     }
+}
+
+/// Finds a column the way Spark's analyzer does by default:
+/// case-insensitively. Results then report the schema's own name.
+fn resolve(schema: &[StructField], column: &str) -> Result<usize, SparkError> {
+    schema
+        .iter()
+        .position(|f| f.name.eq_ignore_ascii_case(column))
+        .ok_or_else(|| {
+            SparkError::analysis(
+                "UNRESOLVED_COLUMN",
+                format!("cannot resolve column {column:?}"),
+            )
+        })
 }
 
 impl SparkSession {
@@ -452,6 +411,40 @@ mod tests {
         let err = s.sql("SELECT * FROM t WHERE a = 'junk'").unwrap_err();
         assert_eq!(err.code(), "CAST_INVALID_INPUT");
         assert!(s.sql("SELECT * FROM t WHERE nope = 1").is_err());
+    }
+
+    #[test]
+    fn repeated_projection_over_two_part_files_in_every_interface() {
+        let sink = DiagSink::new();
+        let metastore = Arc::new(Mutex::new(Metastore::new()));
+        let fs = Arc::new(Mutex::new(MiniHdfs::with_datanodes(3)));
+        let s = SparkSession::connect(metastore.clone(), fs.clone(), sink.handle("minispark"));
+        let hive = minihive::HiveQl::new(metastore, fs, sink.handle("minihive"));
+        let schema = vec![
+            StructField::new("Name", csi_core::DataType::Char(4)),
+            StructField::new("A", csi_core::DataType::Int),
+        ];
+        s.dataframe()
+            .create_table("t", &schema, minihive::StorageFormat::Orc)
+            .unwrap();
+        s.sql("INSERT INTO t VALUES ('x', 1), ('yy', 2)").unwrap();
+        hive.execute("INSERT INTO t VALUES ('zzz', 3)").unwrap();
+        let query = "SELECT name, a, name FROM t WHERE a > 1";
+        let padded =
+            |v: &str, a: i32| vec![Value::Str(v.into()), Value::Int(a), Value::Str(v.into())];
+        let expected = vec![padded("yy  ", 2), padded("zzz ", 3)];
+        let r = s.sql(query).unwrap();
+        assert_eq!(r.columns, vec!["Name", "A", "Name"]);
+        assert_eq!(r.rows, expected);
+        let r = hive.execute(query).unwrap();
+        assert_eq!(r.columns, vec!["name", "a", "name"]);
+        assert_eq!(r.rows, expected);
+        let (_, rows) = s.dataframe().read_table("t").unwrap();
+        let trimmed = |v: &str, a: i32| vec![Value::Str(v.into()), Value::Int(a)];
+        assert_eq!(
+            rows,
+            vec![trimmed("x", 1), trimmed("yy", 2), trimmed("zzz", 3)]
+        );
     }
 
     #[test]
